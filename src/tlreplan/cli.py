@@ -49,7 +49,7 @@ def _load_nba(spec: str):
 def cmd_build(args) -> int:
     try:
         nba = _load_nba(args.nba)
-    except HoaParseError as exc:
+    except (HoaParseError, OSError) as exc:
         print(f"error: {args.nba}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
@@ -93,6 +93,9 @@ def _scenario_for(args):
 
 
 def cmd_simulate(args) -> int:
+    if args.beta < 1:
+        print(f"error: --beta must be >= 1, got {args.beta}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         nba = _load_nba(args.nba)
         scenario = _scenario_for(args)
@@ -154,13 +157,20 @@ def cmd_bench(args) -> int:
         print("error: sizes must be >= 4", file=sys.stderr)
         return 2
 
-    nba = _load_nba(nba_spec)
+    try:
+        nba = _load_nba(nba_spec)
+    except (HoaParseError, OSError) as exc:
+        print(f"error: {nba_spec}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     rows = []
     reports: dict[tuple, TraceReport] = {}
     for size in sizes:
         for seed in seeds:
             try:
                 scenario = random_map(seed, size, density, nba=nba)
+            except ValueError as exc:  # bad config, same for every map
+                print(f"error: {args.config}: {exc}", file=sys.stderr)
+                return EXIT_ERROR
             except RuntimeError as exc:
                 log.warning("size=%s seed=%s: %s", size, seed, exc)
                 for algo in algorithms:

@@ -3,12 +3,30 @@
 One incremental search per accepting state finds its cheapest loop by
 mirroring the accepting state's incoming edges onto an imaginary goal; a
 main incremental search then reaches an overall imaginary goal whose
-incoming edges carry the loop costs scaled by the suffix weighting. On a
-change set, loops are repaired incrementally; the main search keeps its
-tree (shifting the key drift accumulator) while the agent is still on the
-prefix, and restarts from the current state once the agent is inside the
-loop, so the traversed part stays behind as history and the remainder is
-re-optimized globally.
+incoming edges carry the loop costs scaled by the suffix weighting. The
+main search keeps its tree (shifting the key drift accumulator) while the
+agent is still on the prefix, and restarts from the current state once the
+agent is inside the loop, so the traversed part stays behind as history and
+the remainder is re-optimized globally.
+
+Loop searches are repaired lazily. A change set can only raise costs when
+every change rewrites an existing edge to a weight no lower than before.
+Such a set queues its edge updates in each affected loop search and marks
+that record stale, without searching. A stale record keeps its old cost
+on its edge to the overall goal. Costs have only risen since that cost was
+exact, so it is a lower bound. Before the main search, the loop of the
+current run's accepting state is repaired. After it, while the extracted
+path closes through a stale accepting state, that loop is repaired, its
+goal edge raised, and the main search repeated.
+
+Runs stay identical to a search over exact loop costs. The final path
+closes through an exact loop, so its total is exact, and since every other
+goal edge is a lower bound, no run is cheaper. Every state on that path
+therefore has its exact cost-to-goal. A successor that only ties because
+of a lower bound would have led the path to a stale loop, so the
+lowest-index tie rule picks the same successors as it would over exact
+costs. A change set that could lower a cost (a weight decrease or a
+created edge) breaks the lower bound, so it repairs every stale loop first.
 """
 
 from __future__ import annotations
@@ -56,6 +74,7 @@ class SuffixRecord:
     instance: SearchInstance
     cost: tuple
     loop: list[int] | None = field(default=None)
+    stale: bool = False  # changes queued, search not run; cost is a lower bound
 
     def get_loop(self) -> list[int]:
         """Loop through the accepting state; extracted on demand."""
@@ -174,23 +193,28 @@ class LTLDStarPlanner(RunFollower):
         inst.compute_shortest_path()
         return SuffixRecord(k, acc, img, graph, inst, inst.cost_from(acc))
 
-    def suffix_replan(self, rec: SuffixRecord, mod) -> bool:
-        """Repair one loop search after a change set; True if its cost moved."""
-        if mod:
-            mirrors = [(ch.u, ch.weight) for ch in mod if ch.v == rec.acc]
-            sources = {ch.u for ch in mod}
-            self._suffix_update(rec, mirrors, sources)
+    def mark_stale(self, rec: SuffixRecord, mirrors, sources, force: bool = False):
+        """Queue a change set in a loop search without searching.
+
+        `mirrors` are (u, weight) pairs of changed edges into the accepting
+        state, rewritten onto its imaginary goal; `sources` are the tails of
+        every changed edge.
+        """
+        for u, w in mirrors:
+            rec.graph.set_extra(u, rec.img, w)
+        rec.instance.note_changed_edges(sources, force=force)
+        rec.stale = True
+        rec.loop = None
+
+    def repair_loop(self, rec: SuffixRecord) -> bool:
+        """Run a stale loop search to completion; True if its cost moved."""
+        if not rec.stale:
+            return False
+        rec.instance.compute_shortest_path()
+        rec.stale = False
         old = rec.cost
         rec.cost = rec.instance.cost_from(rec.acc)
         return rec.cost != old
-
-    def _suffix_update(self, rec: SuffixRecord, mirrors, sources, force=False):
-        if mirrors:
-            for u, w in mirrors:
-                rec.graph.set_extra(u, rec.img, w)
-        rec.instance.note_changed_edges(sources, force=force)
-        rec.instance.compute_shortest_path()
-        rec.loop = None
 
     # -- planning ------------------------------------------------------------------
 
@@ -205,9 +229,9 @@ class LTLDStarPlanner(RunFollower):
             self.main_graph, start=start, goal=self.global_img,
             heuristic=self._h, log_pops=self._log_pops, counter=self._counter,
         )
-        self.main.compute_shortest_path()
+        path = self._solve_main()
         self.last_expansions = self._expansion_total() - before
-        return self._extract_run()
+        return self._extract_run(path)
 
     def replan(self, mod) -> Run:
         """Incorporate a change set and re-derive the optimal run."""
@@ -216,6 +240,8 @@ class LTLDStarPlanner(RunFollower):
         if not mod:
             return self.run
         before = self._expansion_total()
+        succ = self.pa.succ
+        lowers = any(ch.v not in succ[ch.u] or ch.weight < succ[ch.u][ch.v] for ch in mod)
         created = self.pa.apply_changes(mod)
         sources = {ch.u for ch in mod}
         sources_seq = tuple(sources)
@@ -223,7 +249,6 @@ class LTLDStarPlanner(RunFollower):
         for ch in mod:
             mirrors_by_acc.setdefault(ch.v, []).append((ch.u, ch.weight))
         skip_ok = not created  # brand-new edges invalidate the untouched shortcut
-        changed = []
         for rec in self.records:
             mirrors = mirrors_by_acc.get(rec.acc)
             if mirrors is None and skip_ok:
@@ -232,17 +257,17 @@ class LTLDStarPlanner(RunFollower):
                 # cannot be affected; its cost is unchanged by construction
                 if len(rhs) == 1 or not any(u in rhs for u in sources_seq):
                     continue
-            self._suffix_update(rec, mirrors or (), sources, force=not skip_ok)
-            old = rec.cost
-            rec.cost = rec.instance.cost_from(rec.acc)
-            if rec.cost != old:
-                changed.append(rec)
+            self.mark_stale(rec, mirrors or (), sources, force=not skip_ok)
+        if lowers:
+            # stale costs stop being lower bounds once a weight may drop
+            repair = self.records
+        else:
+            repair = [self._rec_by_acc[self.run.accepting]]
+        changed = [rec for rec in repair if self.repair_loop(rec)]
         current = self.current_state
         if self.phase == PREFIX:
-            beta = self.beta
             for rec in changed:
-                self.main_graph.set_extra(rec.acc, self.global_img, _scaled(rec.cost, beta))
-                self.main.update_vertex(rec.acc)
+                self._update_goal_edge(rec)
             self.main.move_start(current)
             self.main.note_changed_edges(sources, force=not skip_ok)
         else:
@@ -251,9 +276,26 @@ class LTLDStarPlanner(RunFollower):
                 self.main_graph, start=current, goal=self.global_img,
                 heuristic=self._h, log_pops=self._log_pops, counter=self._counter,
             )
-        self.main.compute_shortest_path()
+        path = self._solve_main()
         self.last_expansions = self._expansion_total() - before
-        return self._extract_run()
+        return self._extract_run(path)
+
+    def _solve_main(self) -> list[int] | None:
+        """Main search until its path closes through a fresh loop; None if none exists."""
+        main = self.main
+        while True:
+            main.compute_shortest_path()
+            if main.cost_from()[1] == INF:
+                return None
+            path = main.extract_path()
+            rec = self._rec_by_acc[path[-2]]
+            if not self.repair_loop(rec):
+                return path
+            self._update_goal_edge(rec)
+
+    def _update_goal_edge(self, rec: SuffixRecord):
+        self.main_graph.set_extra(rec.acc, self.global_img, _scaled(rec.cost, self.beta))
+        self.main.update_vertex(rec.acc)
 
     def _build_main_graph(self, start: int) -> OverlayGraph:
         graph = OverlayGraph(self.pa)
@@ -267,11 +309,9 @@ class LTLDStarPlanner(RunFollower):
                 graph.set_extra(self.synth_start, s0, (0, 0))
         return graph
 
-    def _extract_run(self) -> Run:
-        cost = self.main.cost_from()
-        if cost[1] == INF:
+    def _extract_run(self, path: list[int] | None) -> Run:
+        if path is None:
             raise NoAcceptingRun("no accepting state is reachable with a finite loop")
-        path = self.main.extract_path()
         acc = path[-2]
         prefix = path[:-1]
         if prefix and prefix[0] == self.synth_start:

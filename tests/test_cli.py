@@ -87,6 +87,16 @@ def test_simulate_random_needs_seed(capsys):
     assert main(["simulate", SEQ, "random"]) == 1
 
 
+def test_simulate_nonpositive_beta_is_input_error(capsys):
+    assert main(["simulate", SEQ, MAP_A, "--beta", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_build_unknown_builtin_nba_is_input_error(capsys):
+    assert main(["build", "builtin:nope", MAP_A]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_builtin_nba_reference(capsys):
     assert main(["build", "builtin:sequence_abcd", MAP_A]) == 0
     assert json.loads(capsys.readouterr().out)["nba_states"] == 5
@@ -145,6 +155,16 @@ class TestBench:
     def test_bench_unknown_algorithm(self, tmp_path, capsys):
         path, _ = self._config(tmp_path, algorithms=["a-star"])
         assert main(["bench", str(path)]) == 2
+
+    def test_bench_bad_density_is_input_error(self, tmp_path, capsys):
+        path, _ = self._config(tmp_path, density=1.5)
+        assert main(["bench", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bench_unknown_builtin_nba_is_input_error(self, tmp_path, capsys):
+        path, _ = self._config(tmp_path, nba="builtin:nope")
+        assert main(["bench", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_error_exit_code():

@@ -1,15 +1,17 @@
+import copy
 import itertools
 import math
 import random
 
 import pytest
 
-from tlreplan.baselines import dijkstra_oracle
+from tlreplan.baselines import dijkstra_oracle, loop_cost, solve_fresh
 from tlreplan.hoa import parse_nba
 from tlreplan.planner import (LTLDStarPlanner, NoAcceptingRun, Run, total_cost)
 from tlreplan.product import PAEdgeChange, build_product, build_relaxed_product
 from tlreplan.weights import Weight
-from tlreplan.world import Belief, initial_belief, random_map, sense, to_wts
+from tlreplan.world import (Belief, ChangeEvent, initial_belief, make_grid_heuristic,
+                            random_map, sense, to_wts)
 from tlreplan.wts import WTS
 
 INF = math.inf
@@ -58,6 +60,13 @@ def brute_force_min_cycle(pa, acc, max_len=8):
     return best
 
 
+def repair_with(planner, rec, mod):
+    """Queue a change set in one loop search and repair it, as replan does."""
+    mirrors = [(ch.u, ch.weight) for ch in mod if ch.v == rec.acc]
+    planner.mark_stale(rec, mirrors, {ch.u for ch in mod})
+    return planner.repair_loop(rec)
+
+
 def test_suffix_self_loop():
     pa = TinyPA(2, [(0, 0, (0, 10)), (0, 1, (0, 10)), (1, 0, (0, 10))],
                 accepting=[0], initial=[0])
@@ -91,7 +100,8 @@ def test_suffix_replan_empty_mod_no_expansions():
     planner = LTLDStarPlanner(pa, beta=10)
     rec = planner.suffix_initialize(0)
     before = rec.instance.expansions
-    changed = planner.suffix_replan(rec, [])
+    assert not planner.repair_loop(rec)  # a fresh record is left alone
+    changed = repair_with(planner, rec, [])
     assert not changed
     assert rec.instance.expansions == before
 
@@ -103,7 +113,7 @@ def test_suffix_replan_deleted_cycle_goes_infinite():
     rec = planner.suffix_initialize(0)
     mod = [PAEdgeChange(1, 2, (INF, INF))]
     pa.apply_changes(mod)
-    assert planner.suffix_replan(rec, mod)
+    assert repair_with(planner, rec, mod)
     assert rec.cost == (INF, INF)
     assert rec.get_loop() == []
 
@@ -118,7 +128,7 @@ def test_suffix_replan_switches_to_alternate_cycle():
     assert rec.cost == (0, 20)
     mod = [PAEdgeChange(0, 1, (0, 80))]  # bump one edge of the cheap cycle
     pa.apply_changes(mod)
-    planner.suffix_replan(rec, mod)
+    repair_with(planner, rec, mod)
     assert rec.cost == (0, 70)
     assert brute_force_min_cycle(pa, 0) == (0, 70)
     assert rec.get_loop() == [0, 2, 3, 0]
@@ -270,7 +280,7 @@ def test_suffix_independence(seq_nba):
     mod = [PAEdgeChange(pa.sid(pi, 0), pa.sid(target, 0), (INF, INF))]
     pa.apply_changes(mod)
     for rec in planner.records:
-        planner.suffix_replan(rec, mod)
+        repair_with(planner, rec, mod)
     for rec, before in zip(planner.records, costs_before):
         if rec.cost != before:
             # only loops actually using that edge may move; clean ones stay
@@ -303,3 +313,97 @@ def test_beta_validation():
     pa = TinyPA(1, [], accepting=[0], initial=[0])
     with pytest.raises(ValueError):
         LTLDStarPlanner(pa, beta=0)
+
+
+def _lazy_case(seq_nba, seed, relaxed):
+    """A small grid with one wall, so that an `add` later creates an edge.
+
+    Region a, where runs accept, gets two extra cells: with one accepting
+    cell, the only loop that matters belongs to the current run, which is
+    never left stale. A third of the cells start as known slow cells, so a
+    later reweight can drop loop costs below any earlier value without
+    going under the grid heuristic's step cost.
+    """
+    rng = random.Random(seed)
+    scn = random_map(seed, 6, 0.15, nba=seq_nba)
+    labeled = set().union(*scn.regions.values())
+    free = [c for c in scn.cells() if c not in scn.obstacles]
+    scn.regions["a"] |= set(rng.sample([c for c in free if c not in labeled], 2))
+    cell = rng.choice(free)
+    nb = rng.choice([c for c in scn.neighbors(cell) if c not in scn.obstacles])
+    scn.walls = {frozenset((cell, nb))}
+    belief = initial_belief(scn)
+    belief.known_bumps |= set(rng.sample(free, len(free) // 3))
+    wts = to_wts(scn, belief, seq_nba.universe)
+    belief.attach(wts)
+    pa = (build_relaxed_product if relaxed else build_product)(wts, seq_nba)
+    return rng, pa, belief.cell_index[cell], belief.cell_index[nb]
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+@pytest.mark.parametrize("seed", [2, 3, 8, 11, 15])
+def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
+    """Raises leave loops stale; a later weight drop and a created edge repair them all.
+
+    After every replan the run equals a from-scratch solve, the chosen
+    loop is fresh, fresh loop costs are exact and stale ones lower bounds.
+    """
+    rng, pa, wall_i, wall_j = _lazy_case(seq_nba, seed, relaxed)
+    wts = pa.wts
+    travel = {(i, j): d for i, j, d in wts.edges()}
+    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    planner.plan_initial()
+    seen = {"stale": False, "lowered": False, "created": False}
+
+    def raise_batch():
+        on_run = {s // pa.nq for s in planner.run.states()}
+        near = [e for e in travel if e[1] in on_run and travel[e] != INF]
+        pool = near if near and rng.random() < 0.7 else [e for e in travel if travel[e] != INF]
+        events = []
+        for i, j in rng.sample(pool, min(len(pool), rng.randint(1, 3))):
+            if rng.random() < 0.3:
+                travel[i, j] = INF
+                events.append(ChangeEvent("delete", i, j))
+            else:
+                travel[i, j] += 40
+                events.append(ChangeEvent("reweight", i, j, travel[i, j]))
+        return events
+
+    def lower_batch():
+        slow = [e for e in travel if travel[e] != 10]
+        for e in slow:
+            travel[e] = 10
+        return [ChangeEvent("reweight", i, j, 10) for i, j in slow]
+
+    def add_batch():
+        assert not wts.has_edge(wall_i, wall_j)
+        return [ChangeEvent("add", wall_i, wall_j, 10), ChangeEvent("add", wall_j, wall_i, 10)]
+
+    script = [raise_batch] * 5 + [lower_batch] + [raise_batch] * 2 + [add_batch, raise_batch]
+    for make_batch in script:
+        for _ in range(rng.randint(0, 3)):
+            planner.advance()
+        if make_batch is lower_batch:
+            seen["lowered"] = any(rec.stale for rec in planner.records)
+        mod = [ch for ev in make_batch() for ch in pa.map_wts_change(ev)]
+        if make_batch is add_batch:
+            seen["created"] = any(ch.v not in pa.succ[ch.u] for ch in mod)
+        start = planner.current_state
+        try:
+            run = planner.replan(mod)
+        except NoAcceptingRun:
+            with pytest.raises(NoAcceptingRun):
+                solve_fresh(copy.deepcopy(pa), [start], 10)
+            pytest.fail(f"seed {seed} turned infeasible; pick a seed that keeps a run")
+        fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
+        assert (run.prefix, run.suffix, run.accepting, run.total) == \
+            (fresh.prefix, fresh.suffix, fresh.accepting, fresh.total)
+        for rec in planner.records:
+            exact, _ = loop_cost(pa, rec.acc)
+            if rec.stale:
+                assert rec.acc != run.accepting
+                assert rec.cost <= exact
+            else:
+                assert rec.cost == exact
+        seen["stale"] |= any(rec.stale for rec in planner.records)
+    assert seen == {"stale": True, "lowered": True, "created": True}
