@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .planner import NoAcceptingRun, Run, RunFollower, SUFFIX
+from .planner import NoAcceptingRun, Run, RunFollower, SUFFIX, check_beta
 from .weights import INF, Weight
 
 INF_W = (INF, INF)
@@ -124,19 +124,49 @@ def dijkstra_oracle(pa, start, beta: int) -> OracleResult:
 
 
 def loop_cost(pa, acc) -> tuple[tuple, int]:
-    """Cheapest cycle through `acc`: distance out plus one closing edge."""
-    closing = [(p, w) for p in pa.pred[acc] for w in [pa.succ[p][acc]] if w[1] != INF]
+    """Cheapest cycle through `acc`: distance out plus one closing edge.
+
+    A Dijkstra search from `acc` that pushes a state only when its
+    tentative cost improves. Settling a closing predecessor `p` (one with a
+    finite edge `p -> acc`) offers the cycle `dist(p) + w(p, acc)`. The
+    search stops once every closing predecessor is settled, or as soon as
+    the cheapest frontier cost is no lower than the best cycle offered so
+    far. The second rule is exact too: every state settled later costs at
+    least the frontier, and closing weights are non-negative, so no later
+    cycle can be cheaper. A closing predecessor that is never reached
+    therefore no longer makes the search cover every state reachable from
+    `acc`. Returns (cost, settled-state count).
+    """
+    succ = pa.succ
+    closing = {p: w for p in pa.pred[acc] for w in [succ[p][acc]] if w[1] != INF}
     if not closing:
         return INF_W, 0
-    dist, pops = lex_dijkstra(_fwd(pa), [acc], targets=[p for p, _ in closing])
+    unsettled = len(closing)
     best = INF_W
-    for p, (wv, wt) in closing:
-        dp = dist.get(p)
-        if dp is None:
+    tentative = {acc: (0, 0)}
+    heap = [((0, 0), acc)]
+    pops = 0
+    while heap:
+        d, u = heappop(heap)
+        if d >= best:
+            break
+        if d > tentative[u]:
             continue
-        cand = (dp[0] + wv, dp[1] + wt)
-        if cand < best:
-            best = cand
+        pops += 1
+        dv, dt = d
+        w = closing.get(u)
+        if w is not None:
+            best = min(best, (dv + w[0], dt + w[1]))
+            unsettled -= 1
+            if not unsettled:
+                break
+        for v, (wv, wt) in succ[u].items():
+            if wt == INF:
+                continue
+            cand = (dv + wv, dt + wt)
+            if cand < tentative.get(v, INF_W):
+                tentative[v] = cand
+                heappush(heap, (cand, v))
     return best, pops
 
 
@@ -148,6 +178,7 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
     greedily (ties to the lowest state index, closing the loop only when
     strictly cheaper, which mirrors the virtual goal's high index).
     """
+    check_beta(beta)
     sources = list(start) if isinstance(start, (list, tuple)) else [start]
     pops = 0
     loops_scaled = {}
@@ -245,6 +276,7 @@ class IterativeReplanner(RunFollower):
 
     def __init__(self, pa, beta: int = 10, heuristic=None):
         super().__init__()
+        check_beta(beta)
         self.pa = pa
         self.beta = beta
         self.last_expansions = 0
@@ -283,6 +315,7 @@ class LocalRevisionReplanner(RunFollower):
 
     def __init__(self, pa, beta: int = 10, heuristic=None):
         super().__init__()
+        check_beta(beta)
         self.pa = pa
         self.beta = beta
         self.last_expansions = 0

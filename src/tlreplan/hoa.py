@@ -6,13 +6,24 @@ headers, `AP:`, `acc-name: Buchi`, `Acceptance: 1 Inf(0)`, and a body of
 grammar  t | f | <int> | !g | g & g | g | g | (g)  with integers indexing
 the AP declaration. Anything outside this subset is rejected with a named
 error rather than half-parsed.
+
+Each guard is compiled once, at parse time, to a deduplicated list of
+consistent cubes `(pos, neg)`: bit masks of the propositions a label must
+hold and must not hold. The guard holds on a label exactly when one of its
+cubes does, so enabling is two mask tests per cube, and the least number of
+propositions to flip so that a label enables the guard is the least
+`popcount(pos & ~bits) + popcount(neg & bits)` over its cubes. A guard
+whose cube list would exceed `MAX_GUARD_CUBES` is rejected with
+`GuardTooLargeError` instead of expanded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .labels import APUniverse, Label
+from .labels import APUniverse
+
+MAX_GUARD_CUBES = 1 << 16
 
 
 class HoaParseError(ValueError):
@@ -27,13 +38,25 @@ class UnsupportedHoaError(HoaParseError):
     """Syntactically valid HOA that uses a feature outside the subset."""
 
 
+class GuardTooLargeError(HoaParseError):
+    """A guard whose cube expansion exceeds `MAX_GUARD_CUBES`."""
+
+
 # ---------------------------------------------------------------------------
 # Guard expression trees
 
 
 class Guard:
+    _cubes = None
+
     def eval(self, bits: int) -> bool:
         raise NotImplementedError
+
+    def cubes(self, line: int = 0) -> tuple[tuple[int, int], ...]:
+        """Deduplicated consistent cubes `(pos, neg)` whose union is this guard."""
+        if self._cubes is None:
+            self._cubes = tuple(_dnf(self, False, line))
+        return self._cubes
 
 
 class GTrue(Guard):
@@ -158,7 +181,58 @@ def parse_guard(text: str, n_props: int, line: int = 0) -> Guard:
     if pos != len(tokens):
         kind, value, col = tokens[pos]
         raise HoaParseError(f"unexpected {value!r} after guard", line, col)
+    node.cubes(line)
     return node
+
+
+def _dnf(g: Guard, negated: bool, line: int) -> list[tuple[int, int]]:
+    """Cubes of `g` (of `!g` when negated), with `!` pushed down by De Morgan."""
+    while isinstance(g, GNot):
+        g, negated = g.sub, not negated
+    if isinstance(g, GProp):
+        bit = 1 << g.index
+        return [(0, bit)] if negated else [(bit, 0)]
+    if isinstance(g, (GTrue, GFalse)):
+        return [(0, 0)] if isinstance(g, GTrue) != negated else []
+    disjunction = isinstance(g, GOr) != negated
+    operands = _chain(g)
+    cubes = dict.fromkeys(_dnf(operands[0], negated, line))
+    for sub in operands[1:]:
+        more = _dnf(sub, negated, line)
+        if disjunction:
+            cubes.update(dict.fromkeys(more))
+            size = len(cubes)
+        else:  # pairwise product, contradictions dropped; bounded before it is built
+            size = len(cubes) * len(more)
+            if size <= MAX_GUARD_CUBES:
+                cubes = dict.fromkeys(
+                    (lp | rp, ln | rn) for lp, ln in cubes for rp, rn in more
+                    if not (lp | rp) & (ln | rn))
+        if size > MAX_GUARD_CUBES:
+            raise GuardTooLargeError(f"guard expands to more than {MAX_GUARD_CUBES} cubes", line)
+    return list(cubes)
+
+
+def _chain(g: Guard) -> list[Guard]:
+    """Operands of a left-nested run of one binary operator, left to right."""
+    kind = type(g)
+    operands = []
+    while isinstance(g, kind):
+        operands.append(g.right)
+        g = g.left
+    operands.append(g)
+    operands.reverse()
+    return operands
+
+
+def cubes_enable(cubes, bits: int) -> bool:
+    """True when label `bits` satisfies one of the cubes."""
+    return any(bits & pos == pos and not bits & neg for pos, neg in cubes)
+
+
+def cubes_distance(cubes, bits: int) -> int:
+    """Least number of propositions to flip in `bits` to satisfy one of the cubes."""
+    return min((pos & ~bits).bit_count() + (neg & bits).bit_count() for pos, neg in cubes)
 
 
 def _tokenize_guard(text: str, line: int):
@@ -200,7 +274,6 @@ class NBA:
     initial: list[int]
     accepting: list[int]
     transitions: list[tuple[int, Guard, int]]
-    _chi_cache: dict = field(default_factory=dict, repr=False)
     _succ: list = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -214,7 +287,8 @@ class NBA:
                 raise ValueError(f"transition endpoint {qm}->{qn} out of range")
         self._succ = [{} for _ in range(self.n_states)]
         for qm, guard, qn in self.transitions:
-            self._succ[qm].setdefault(qn, []).append(guard)
+            cubes = self._succ[qm].get(qn, ())
+            self._succ[qm][qn] = tuple(dict.fromkeys(cubes + guard.cubes()))
 
     @property
     def n_transitions(self) -> int:
@@ -222,29 +296,15 @@ class NBA:
 
     def delta(self, qm: int, bits: int) -> list[int]:
         """Successor states of qm on input label `bits`."""
-        return [qn for qn, guards in self._succ[qm].items() if any(g.eval(bits) for g in guards)]
+        return [qn for qn, cubes in self._succ[qm].items() if cubes_enable(cubes, bits)]
 
     def pairs(self):
         """All (q_m, q_n) with at least one transition, in a stable order."""
         return [(qm, qn) for qm in range(self.n_states) for qn in sorted(self._succ[qm])]
 
-    def chi_bits(self, qm: int, qn: int) -> tuple[int, ...]:
-        """All labels (as bit patterns) enabling q_m -> q_n, by enumeration."""
-        key = (qm, qn)
-        cached = self._chi_cache.get(key)
-        if cached is None:
-            guards = self._succ[qm].get(qn, [])
-            cached = tuple(
-                bits for bits in range(1 << self.universe.size)
-                if any(g.eval(bits) for g in guards)
-            )
-            self._chi_cache[key] = cached
-        return cached
-
-
-def chi(nba: NBA, qm: int, qn: int) -> set[Label]:
-    """Labels enabling the transition q_m -> q_n; empty set if none."""
-    return {nba.universe.label_from_bits(b) for b in nba.chi_bits(qm, qn)}
+    def pair_cubes(self, qm: int, qn: int) -> tuple[tuple[int, int], ...]:
+        """Cubes of every guard on q_m -> q_n; empty if no label enables it."""
+        return self._succ[qm].get(qn, ())
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,6 @@ class APUniverse:
     def label_from_bits(self, bits: int) -> "Label":
         return Label(self, bits)
 
-    def all_labels(self):
-        """Every subset of the universe, as labels (2**size of them)."""
-        for bits in range(1 << self.size):
-            yield Label(self, bits)
-
 
 @dataclass(frozen=True)
 class Label:

@@ -44,6 +44,12 @@ class NoAcceptingRun(Exception):
     """No accepting state has both a reachable prefix and a finite loop."""
 
 
+def check_beta(beta: int) -> None:
+    """Reject a suffix weighting below 1, which would discount the loop away."""
+    if beta < 1:
+        raise ValueError(f"beta must be a positive integer, got {beta}")
+
+
 @dataclass
 class Run:
     prefix: list[int]
@@ -137,8 +143,7 @@ class LTLDStarPlanner(RunFollower):
 
     def __init__(self, pa, beta: int = 10, heuristic=None, log_pops: bool = False):
         super().__init__()
-        if beta < 1:
-            raise ValueError(f"beta must be a positive integer, got {beta}")
+        check_beta(beta)
         self.pa = pa
         self.beta = beta
         self._log_pops = log_pops

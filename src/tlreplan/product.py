@@ -4,16 +4,19 @@ Plain mode contains exactly the transitions whose destination label enables
 the automaton move. Relaxed mode additionally inserts, for every workspace
 edge and every automaton transition with a nonempty enabling-label set, an
 edge penalized by the minimal label distance needed to pretend the move was
-legal. Each product edge carries a (violation, travel) weight; deletions
-keep the edge with an infinite weight so incremental searches can treat
-them as cost changes.
+legal. That violation is the minimum, over the cubes `(pos, neg)` of the
+transition's guards, of `popcount(pos & ~bits) + popcount(neg & bits)` for
+the destination label `bits`: the exact Hamming distance to the nearest
+enabling label, found without listing the labels. Each product edge
+carries a (violation, travel) weight; deletions keep the edge with an
+infinite weight so incremental searches can treat them as cost changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hoa import NBA
+from .hoa import NBA, cubes_distance, cubes_enable
 from .weights import INF, INF_WEIGHT
 from .wts import WTS
 
@@ -32,11 +35,10 @@ class PAEdgeChange:
 
 def dist_bits(nba: NBA, qm: int, qn: int, label_bits: int) -> int:
     """Violation of taking q_m -> q_n when the destination carries `label_bits`."""
-    chi = nba.chi_bits(qm, qn)
-    if not chi:
+    cubes = nba.pair_cubes(qm, qn)
+    if not cubes:
         raise ValueError(f"no transition {qm}->{qn}: relaxation undefined")
-    best = min((label_bits ^ l).bit_count() for l in chi)
-    return best
+    return cubes_distance(cubes, label_bits)
 
 
 class ProductAutomaton:
@@ -55,7 +57,7 @@ class ProductAutomaton:
 
         self._plain_pairs: dict[int, list] = {}
         self._relaxed_pairs: dict[int, list] = {}
-        self._all_pairs = nba.pairs()
+        self._pair_cubes = [(qm, qn, nba.pair_cubes(qm, qn)) for qm, qn in nba.pairs()]
 
         nq = self.nq
         succ: list[dict] = [{} for _ in range(self.n_states)]
@@ -98,19 +100,14 @@ class ProductAutomaton:
         if self.mode == PLAIN:
             pairs = self._plain_pairs.get(bits)
             if pairs is None:
-                pairs = [
-                    (qm, qn, 0) for qm, qn in self._all_pairs
-                    if bits in self.nba.chi_bits(qm, qn)
-                ]
+                pairs = [(qm, qn, 0) for qm, qn, cubes in self._pair_cubes
+                         if cubes_enable(cubes, bits)]
                 self._plain_pairs[bits] = pairs
             return pairs
         pairs = self._relaxed_pairs.get(bits)
         if pairs is None:
-            pairs = []
-            for qm, qn in self._all_pairs:
-                chi = self.nba.chi_bits(qm, qn)
-                if chi:
-                    pairs.append((qm, qn, min((bits ^ l).bit_count() for l in chi)))
+            pairs = [(qm, qn, cubes_distance(cubes, bits)) for qm, qn, cubes in self._pair_cubes
+                     if cubes]
             self._relaxed_pairs[bits] = pairs
         return pairs
 

@@ -22,7 +22,9 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from .baselines import lex_dijkstra, loop_cost
 from .labels import APUniverse
+from .product import build_product
 from .weights import INF
 from .wts import WTS
 
@@ -296,6 +298,7 @@ def random_map(seed: int, n: int, density: float, nba=None, retries: int = 200,
 
 
 def _ground_truth_feasible(scenario: GridScenario, nba) -> bool:
+    """Plain-mode feasibility: a reachable accepting product state on a cycle."""
     belief = Belief(known_obstacles=set(scenario.obstacles),
                     known_bumps=set(scenario.bumps))
     if nba is None:
@@ -304,7 +307,9 @@ def _ground_truth_feasible(scenario: GridScenario, nba) -> bool:
         wts = to_wts(scenario, belief, nba.universe)
     except ValueError:
         return False
-    return _accepting_lasso_exists(wts, nba)
+    pa = build_product(wts, nba)
+    reachable, _ = lex_dijkstra(lambda u: pa.succ[u].items(), pa.initial)
+    return any(loop_cost(pa, acc)[0][1] != INF for acc in pa.accepting if acc in reachable)
 
 
 def _regions_connected(scenario: GridScenario) -> bool:
@@ -319,57 +324,3 @@ def _regions_connected(scenario: GridScenario) -> bool:
                 seen.add(nb)
                 stack.append(nb)
     return targets <= seen
-
-
-def _accepting_lasso_exists(wts: WTS, nba) -> bool:
-    """Plain-mode feasibility: a reachable accepting product state on a cycle."""
-    succ = _product_succ(wts, nba)
-    start_states = [(pi, q0) for pi in wts.init for q0 in nba.initial]
-    reachable = _bfs(succ, start_states)
-    accepting = [s for s in reachable if s[1] in set(nba.accepting)]
-    for acc in accepting:
-        back = _bfs(succ, succ(acc))
-        if acc in back:
-            return True
-    return False
-
-
-def _product_succ(wts: WTS, nba):
-    cache: dict[int, list] = {}
-
-    def pairs_for(bits: int):
-        pairs = cache.get(bits)
-        if pairs is None:
-            pairs = [(qm, qn) for qm, qn in nba.pairs() if bits in nba.chi_bits(qm, qn)]
-            cache[bits] = pairs
-        return pairs
-
-    by_label = {}
-    for qm, qn in nba.pairs():
-        by_label.setdefault(qm, set()).add(qn)
-
-    def succ(state):
-        pi, qm = state
-        out = []
-        for pj, d in wts.succ[pi].items():
-            if d == INF:
-                continue
-            bits = wts.labels[pj]
-            for pm, pn in pairs_for(bits):
-                if pm == qm:
-                    out.append((pj, pn))
-        return out
-
-    return succ
-
-
-def _bfs(succ, sources):
-    seen = set(sources)
-    stack = list(sources)
-    while stack:
-        s = stack.pop()
-        for t in succ(s):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen

@@ -46,6 +46,37 @@ def random_weighted_graph(rng: random.Random, n: int = 64, avg_degree: float = 3
     return g
 
 
+def visit_in_order_hoa(k: int) -> str:
+    """Cyclic mission "visit p0, p1, ..., p(k-1) in order" over k propositions.
+
+    State i waits for p_i; state k is accepting and waits for p0 again.
+    """
+    aps = " ".join(f'"p{i}"' for i in range(k))
+    lines = ["HOA: v1", f"States: {k + 1}", "Start: 0", f"AP: {k} {aps}",
+             "acc-name: Buchi", "Acceptance: 1 Inf(0)", "--BODY--"]
+    for q in range(k + 1):
+        want = q % k
+        lines.append(f"State: {q} {{0}}" if q == k else f"State: {q}")
+        lines += [f"[!{want}] {q}", f"[{want}] {want + 1}"]
+    return "\n".join(lines + ["--END--", ""])
+
+
+def chi_bits(nba, qm: int, qn: int) -> tuple[int, ...]:
+    """All labels (as bit patterns) enabling q_m -> q_n, by enumeration.
+
+    Evaluates the guard trees on every one of the 2**|AP| labels, so it is
+    an oracle for small universes only; the library itself uses cubes.
+    """
+    guards = [g for m, g, n in nba.transitions if (m, n) == (qm, qn)]
+    return tuple(bits for bits in range(1 << nba.universe.size)
+                 if any(g.eval(bits) for g in guards))
+
+
+def chi(nba, qm: int, qn: int) -> set:
+    """Labels enabling the transition q_m -> q_n; empty set if none."""
+    return {nba.universe.label_from_bits(b) for b in chi_bits(nba, qm, qn)}
+
+
 def reverse_dijkstra_cost(graph, goal):
     """Independent cost-to-goal map: lexicographic Dijkstra over reversed edges."""
     from tlreplan.baselines import lex_dijkstra

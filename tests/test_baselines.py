@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from conftest import random_weighted_graph
+from conftest import random_weighted_graph, visit_in_order_hoa
 from tlreplan.baselines import (IterativeReplanner, LocalRevisionReplanner,
                                 bellman_ford, dijkstra_oracle, lex_dijkstra,
                                 loop_cost, solve_fresh)
+from tlreplan.hoa import parse_nba
 from tlreplan.planner import LTLDStarPlanner, NoAcceptingRun
-from tlreplan.product import build_product
+from tlreplan.product import build_product, build_relaxed_product
 from tlreplan.simulate import simulate
-from tlreplan.world import initial_belief, random_map, to_wts
+from tlreplan.world import Belief, ChangeEvent, GridScenario, initial_belief, random_map, to_wts
 from tlreplan.weights import Weight
 
 INF = math.inf
@@ -45,6 +46,26 @@ def test_bellman_ford_agrees_with_dijkstra_on_scenarios(seq_nba):
         bf = bellman_ford(pa.n_states, edges, sources)
         for s in range(pa.n_states):
             assert dist.get(s) == bf.get(s), f"seed {seed} state {s}"
+
+
+def _loop_cost_by_full_search(pa, acc):
+    """Full Dijkstra from acc, then the cheapest closing edge; no stopping rule.
+
+    Also returns how many finite closing edges start at a state unreachable
+    from acc.
+    """
+    dist, _ = lex_dijkstra(lambda u: pa.succ[u].items(), [acc])
+    best = (INF, INF)
+    unreachable = 0
+    for p in pa.pred[acc]:
+        w = pa.succ[p][acc]
+        if w[1] == INF:
+            continue
+        if p not in dist:
+            unreachable += 1
+            continue
+        best = min(best, (dist[p][0] + w[0], dist[p][1] + w[1]))
+    return best, unreachable
 
 
 def _pa(seq_nba, seed=7, n=10, density=0.3):
@@ -85,6 +106,40 @@ class TestOracle:
         cost, pops = loop_cost(pa, 0)
         assert cost == (INF, INF)
         assert pops == 0
+
+    def test_loop_cost_matches_full_search_from_acc(self):
+        unreachable_closing = 0
+        for seed in range(10):
+            rng = random.Random(seed)
+            k = rng.randint(2, 4)
+            nba = parse_nba(visit_in_order_hoa(k))
+            cells = [(r, c) for r in range(6) for c in range(6)]
+            rng.shuffle(cells)
+            regions, rest = cells[:k], cells[k:]
+            scenario = GridScenario(
+                width=6, height=6, walls=set(), bumps=set(),
+                obstacles={cell for cell in rest if rng.random() < 0.25},
+                regions={f"p{i}": {cell} for i, cell in enumerate(regions)}, start=regions[0])
+            wts = to_wts(scenario, Belief(known_obstacles=set(scenario.obstacles)),
+                         nba.universe)
+            for build in (build_product, build_relaxed_product):
+                pa = build(wts, nba)
+                for i, out in enumerate(wts.succ):
+                    for j in out:
+                        if rng.random() < 0.1:
+                            kind = rng.choice(["delete", "reweight"])
+                            weight = rng.choice([20, 50]) if kind == "reweight" else None
+                            pa.apply_changes(pa.map_wts_change(ChangeEvent(kind, i, j, weight)))
+                for acc in pa.accepting:
+                    expected, unreachable = _loop_cost_by_full_search(pa, acc)
+                    unreachable_closing += unreachable
+                    assert loop_cost(pa, acc)[0] == expected, (seed, build.__name__, acc)
+            # violations on arbitrary edges, so a cheap violating cycle can precede
+            # a longer clean one
+            graph = random_weighted_graph(rng, n=40, avg_degree=2.5, max_violation=2)
+            for acc in range(graph.n):
+                assert loop_cost(graph, acc)[0] == _loop_cost_by_full_search(graph, acc)[0]
+        assert unreachable_closing > 0
 
     def test_oracle_matches_planner_across_random_scenarios(self, seq_nba):
         for seed in range(12):
@@ -202,3 +257,16 @@ def test_local_revision_event_totals_never_beat_optimal(seq_nba_anchored):
                    replan_hook=hook)
     assert rep.completed
     assert gaps, "scenario should force local revisions"
+
+
+@pytest.mark.parametrize("make", [
+    lambda pa: LTLDStarPlanner(pa, beta=0),
+    lambda pa: IterativeReplanner(pa, beta=0),
+    lambda pa: LocalRevisionReplanner(pa, beta=0),
+    lambda pa: solve_fresh(pa, list(pa.initial), 0),
+], ids=["ltl-dstar", "iterative", "local-revision", "solve_fresh"])
+def test_nonpositive_beta_rejected(make):
+    from test_planner import TinyPA
+    pa = TinyPA(2, [(0, 1, (0, 10)), (1, 1, (0, 7))], accepting=[1], initial=[0])
+    with pytest.raises(ValueError, match="beta must be a positive integer, got 0"):
+        make(pa)

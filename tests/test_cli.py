@@ -56,6 +56,18 @@ def test_build_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_build_over_bound_guard_is_input_error(tmp_path, capsys):
+    guard = " & ".join(f"({2 * i} | {2 * i + 1})" for i in range(20))
+    names = " ".join(f'"p{i}"' for i in range(40))
+    big = tmp_path / "big.hoa"
+    big.write_text(f"HOA: v1\nStates: 1\nStart: 0\nAP: 40 {names}\nacc-name: Buchi\n"
+                   f"Acceptance: 1 Inf(0)\n--BODY--\nState: 0 {{0}}\n[{guard}] 0\n--END--\n")
+    assert main(["build", str(big), MAP_A]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "cubes" in err and "line 9" in err
+
+
 def test_simulate_writes_traces_and_succeeds(tmp_path, capsys):
     out = tmp_path / "trace"
     code = main(["simulate", SEQ, MAP_A, "--trace-out", str(out)])

@@ -1,9 +1,13 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tlreplan.hoa import (GAnd, GNot, GOr, GProp, GTrue, HoaParseError,
-                          UnsupportedHoaError, chi, parse_nba, parse_guard)
+from conftest import chi, chi_bits
+from tlreplan.hoa import (MAX_GUARD_CUBES, GAnd, GNot, GOr, GProp, GTrue, GuardTooLargeError,
+                          HoaParseError, UnsupportedHoaError, parse_nba, parse_guard)
+from tlreplan.product import dist_bits
 
 EVENTUALLY_A = """HOA: v1
 States: 2
@@ -157,4 +161,73 @@ def test_chi_matches_brute_force_on_random_guards():
         nba = _mk_nba(text, n_props=n_props)
         expected = {b for b in range(1 << n_props)
                     if _eval_reference(nba.transitions[0][1], b)}
-        assert set(nba.chi_bits(0, 1)) == expected
+        assert set(chi_bits(nba, 0, 1)) == expected
+
+
+def _guard_texts(n_props):
+    leaves = st.sampled_from(["t", "f", *map(str, range(n_props))])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(lambda g: f"!{g}"),
+        st.tuples(sub, sub).map(lambda p: f"({p[0]} & {p[1]})"),
+        st.tuples(sub, sub).map(lambda p: f"({p[0]} | {p[1]})"),
+        sub.map(lambda g: f"({g} & !{g})"),
+    ), max_leaves=12)
+
+
+def _hamming_to_set(n_props, targets):
+    """Distance from every label to the nearest target, by BFS on the hypercube."""
+    dist = dict.fromkeys(targets, 0)
+    frontier = list(targets)
+    while frontier:
+        nxt = []
+        for bits in frontier:
+            for i in range(n_props):
+                flipped = bits ^ (1 << i)
+                if flipped not in dist:
+                    dist[flipped] = dist[bits] + 1
+                    nxt.append(flipped)
+        frontier = nxt
+    return dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), _guard_texts(n))))
+def test_cubes_match_enumeration_oracle(case):
+    n_props, text = case
+    nba = _mk_nba(text, n_props=n_props)
+    cubes = nba.pair_cubes(0, 1)
+    assert len(set(cubes)) == len(cubes)
+    assert all(not pos & neg for pos, neg in cubes)
+    enabling = chi_bits(nba, 0, 1)
+    assert bool(cubes) == bool(enabling)
+    distance = _hamming_to_set(n_props, enabling)
+    for bits in range(1 << n_props):
+        assert (1 in nba.delta(0, bits)) == (distance.get(bits) == 0), (text, bits)
+        if enabling:
+            assert dist_bits(nba, 0, 1, bits) == distance[bits], (text, bits)
+
+
+def _pairs(op, inner, n):
+    return f" {op} ".join(f"({2 * i} {inner} {2 * i + 1})" for i in range(n))
+
+
+@pytest.mark.parametrize("text", [
+    _pairs("&", "|", 20),               # 2**20 cubes
+    f"!({_pairs('|', '&', 20)})",       # the same, through De Morgan
+], ids=["and-of-ors", "negated-or-of-ands"])
+def test_over_bound_guard_raises_named_error_quickly(text):
+    start = time.perf_counter()
+    with pytest.raises(GuardTooLargeError) as exc:
+        _mk_nba(text, n_props=40)
+    assert time.perf_counter() - start < 1
+    assert exc.value.line == 9
+    assert isinstance(exc.value, HoaParseError)
+
+
+def test_guard_at_the_bound_and_wide_disjunctions_compile():
+    at_bound = _mk_nba(_pairs("&", "|", 16), n_props=32)
+    assert len(at_bound.pair_cubes(0, 1)) == MAX_GUARD_CUBES
+    # only the negation of a wide disjunction of conjunctions blows up
+    wide = _mk_nba(_pairs("|", "&", 32), n_props=64)
+    assert len(wide.pair_cubes(0, 1)) == 32
+    assert 1 in wide.delta(0, 0b11 << 62)

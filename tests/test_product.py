@@ -1,12 +1,14 @@
 import math
+import time
 
 import pytest
 
+from conftest import chi_bits, visit_in_order_hoa
 from tlreplan.hoa import parse_nba
 from tlreplan.labels import APUniverse
 from tlreplan.product import (build_product, build_relaxed_product, dist,
                               dist_bits)
-from tlreplan.world import ChangeEvent
+from tlreplan.world import Belief, ChangeEvent, GridScenario, to_wts
 from tlreplan.wts import WTS
 
 INF = math.inf
@@ -51,7 +53,7 @@ def test_dist_min_over_enabling_labels():
     # guard (p0 & !p1) | (p1 & p2) with empty destination label:
     # enabling labels enumerate to {p0}, {p0,p2}, {p1,p2}, {p0,p1,p2}; min distance 1
     nba = _nba("State: 0\n[(0 & !1) | (1 & 2)] 1\nState: 1 {0}\n[t] 1")
-    enabling = set(nba.chi_bits(0, 1))
+    enabling = set(chi_bits(nba, 0, 1))
     assert enabling == {0b001, 0b101, 0b110, 0b111}
     assert min(bits.bit_count() for bits in enabling) == 1
     assert dist_bits(nba, 0, 1, 0) == 1
@@ -215,3 +217,23 @@ def test_relaxed_violation_zero_iff_plain_on_benchmark(seq_nba):
         plain_out = plain.succ[u]
         for v, (viol, _t) in relaxed.succ[u].items():
             assert (viol == 0) == (v in plain_out)
+
+
+def test_64_ap_products_build_within_a_second():
+    nba = parse_nba(visit_in_order_hoa(64))
+    n = 20
+    cells = [divmod(6 * i, n) for i in range(64)]
+    scenario = GridScenario(width=n, height=n, walls=set(), obstacles=set(), bumps=set(),
+                            regions={f"p{i}": {cell} for i, cell in enumerate(cells)},
+                            start=cells[0])
+    wts = to_wts(scenario, Belief(), nba.universe)
+    pairs = len(nba.pairs())
+    for build, enabled in ((build_product, pairs // 2), (build_relaxed_product, pairs)):
+        start = time.perf_counter()
+        pa = build(wts, nba)
+        assert time.perf_counter() - start < 1, build.__name__
+        # every automaton state has exactly one of its two moves enabled per label
+        assert pa.n_edges == wts.n_edges * enabled
+    assert dist_bits(nba, 63, 64, 1 << 63) == 0
+    assert dist_bits(nba, 63, 64, 1 << 5) == 1
+    assert dist_bits(nba, 63, 63, 1 << 63) == 1

@@ -2,9 +2,12 @@ import math
 
 import pytest
 
+from tlreplan.baselines import solve_fresh
 from tlreplan.labels import APUniverse
-from tlreplan.world import (Belief, ChangeEvent, GridScenario, initial_belief,
-                            load_scenario, random_map, scenario_from_dict,
+from tlreplan.planner import NoAcceptingRun
+from tlreplan.product import build_product
+from tlreplan.world import (Belief, ChangeEvent, GridScenario, _ground_truth_feasible,
+                            initial_belief, load_scenario, random_map, scenario_from_dict,
                             scenario_to_dict, sense, to_wts)
 
 INF = math.inf
@@ -146,8 +149,23 @@ def test_random_map_regions_in_quadrants():
 def test_random_map_feasible_with_nba(seq_nba):
     for seed in (0, 1, 2):
         scn = random_map(seed, 20, 0.4, nba=seq_nba)
-        from tlreplan.world import _ground_truth_feasible
         assert _ground_truth_feasible(scn, seq_nba)
+
+
+def test_ground_truth_check_agrees_with_fresh_solve(seq_nba):
+    outcomes = []
+    for seed in range(40):
+        scn = random_map(seed, 6, 0.5, allow_infeasible=True)
+        belief = Belief(known_obstacles=set(scn.obstacles), known_bumps=set(scn.bumps))
+        pa = build_product(to_wts(scn, belief, seq_nba.universe), seq_nba)
+        try:
+            solve_fresh(pa, list(pa.initial), 10)
+            solvable = True
+        except NoAcceptingRun:
+            solvable = False
+        assert _ground_truth_feasible(scn, seq_nba) == solvable, f"seed {seed}"
+        outcomes.append(solvable)
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_random_map_parameter_validation():
