@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .planner import NoAcceptingRun, Run, RunFollower, SUFFIX, check_beta
-from .weights import INF, Weight
-
-INF_W = (INF, INF)
+from .weights import INF, INF_W, lasso_cost, path_weight
 
 
 def lex_dijkstra(succ_of, sources, targets=None, parents=None):
@@ -24,20 +22,24 @@ def lex_dijkstra(succ_of, sources, targets=None, parents=None):
 
     `succ_of(u)` yields (v, (violation, travel)) pairs. Sources are states,
     or (state, weight) pairs to seed nonzero starting costs. Stops early
-    once every target is settled. Returns ({state: weight}, pop count).
+    once every target is settled. A state is pushed only when its
+    tentative cost improves, and a popped entry worse than that cost is
+    skipped. Returns ({state: weight}, pop count); a given `parents` dict
+    receives (best cost, predecessor) for every state reached by an edge.
     """
     dist: dict = {}
+    tentative: dict = {}  # state -> (cost, predecessor or None for a seed)
     heap = []
     for s in sources:
-        if isinstance(s, tuple):
-            heappush(heap, (s[1], s[0]))
-        else:
-            heappush(heap, ((0, 0), s))
+        s, w = s if isinstance(s, tuple) else (s, (0, 0))
+        if s not in tentative or w < tentative[s][0]:
+            tentative[s] = (w, None)
+            heappush(heap, (w, s))
     remaining = set(targets) if targets is not None else None
     pops = 0
     while heap:
         d, u = heappop(heap)
-        if u in dist:
+        if d > tentative[u][0]:
             continue
         dist[u] = d
         pops += 1
@@ -47,33 +49,16 @@ def lex_dijkstra(succ_of, sources, targets=None, parents=None):
                 break
         dv, dt = d
         for v, (wv, wt) in succ_of(u):
-            if wt == INF or v in dist:
-                continue
-            cand = (dv + wv, dt + wt)
-            heappush(heap, (cand, v))
-            if parents is not None and (v not in parents or cand < parents[v][0]):
-                parents[v] = (cand, u)
-    return dist, pops
-
-
-def bellman_ford(n_states, edges, sources):
-    """Naive lexicographic relaxation; cross-check for the oracle on small graphs."""
-    dist = {s: (0, 0) for s in sources}
-    for _ in range(n_states - 1):
-        changed = False
-        for u, v, (wv, wt) in edges:
             if wt == INF:
                 continue
-            du = dist.get(u)
-            if du is None:
-                continue
-            cand = (du[0] + wv, du[1] + wt)
-            if cand < dist.get(v, INF_W):
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
-    return dist
+            cand = (dv + wv, dt + wt)
+            t = tentative.get(v)
+            if t is None or cand < t[0]:
+                tentative[v] = (cand, u)
+                heappush(heap, (cand, v))
+    if parents is not None:
+        parents.update((v, t) for v, t in tentative.items() if t[1] is not None)
+    return dist, pops
 
 
 def _fwd(pa):
@@ -89,10 +74,10 @@ def _bwd(pa):
 
 @dataclass
 class OracleResult:
-    prefix: list[Weight]
-    loops: list[Weight]
+    prefix: list[tuple]
+    loops: list[tuple]
     best_index: int | None
-    best_total: Weight
+    best_total: tuple
     pops: int = 0
 
 
@@ -112,15 +97,13 @@ def dijkstra_oracle(pa, start, beta: int) -> OracleResult:
         pk = pre.get(acc, INF_W)
         lk, lk_pops = loop_cost(pa, acc)
         pops += lk_pops
-        prefix.append(Weight(*pk))
-        loops.append(Weight(*lk))
-        if pk[1] == INF or lk[1] == INF:
-            continue
-        total = (pk[0] + beta * lk[0], pk[1] + beta * lk[1])
+        prefix.append(pk)
+        loops.append(lk)
+        total = lasso_cost(pk, lk, beta)
         if total < best_total:
             best_total = total
             best_index = k
-    return OracleResult(prefix, loops, best_index, Weight(*best_total), pops)
+    return OracleResult(prefix, loops, best_index, best_total, pops)
 
 
 def loop_cost(pa, acc) -> tuple[tuple, int]:
@@ -188,7 +171,7 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
         pops += lk_pops
         loops_raw[acc] = lk
         if lk[1] != INF:
-            loops_scaled[acc] = (lk[0] * beta, lk[1] * beta)
+            loops_scaled[acc] = lasso_cost((0, 0), lk, beta)
     if not loops_scaled:
         raise NoAcceptingRun("no accepting state has a finite loop")
     seeds = [(acc, w) for acc, w in loops_scaled.items()]
@@ -209,11 +192,9 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
     acc = prefix[-1]
     loop, p3 = _loop_path(pa, acc)
     pops += p3
-    pk = _sum_path(pa, prefix)
+    pk = path_weight(pa.succ, prefix)
     lk = loops_raw[acc]
-    run = Run(prefix, loop, acc, Weight(*pk), Weight(*lk),
-              Weight(pk[0] + beta * lk[0], pk[1] + beta * lk[1]))
-    return run, pops
+    return Run(prefix, loop, acc, pk, lk, lasso_cost(pk, lk, beta)), pops
 
 
 def _descend(pa, values, start, closing, limit_slack: int = 10):
@@ -260,15 +241,6 @@ def _loop_path(pa, acc) -> tuple[list[int], int]:
             closing[p] = w
     path = _descend(pa, dist, acc, closing)
     return path + [acc], pops
-
-
-def _sum_path(pa, path):
-    v = t = 0
-    for a, b in zip(path, path[1:]):
-        wv, wt = pa.succ[a][b]
-        v += wv
-        t += wt
-    return (v, t)
 
 
 class IterativeReplanner(RunFollower):
@@ -365,10 +337,8 @@ class LocalRevisionReplanner(RunFollower):
             d = dist.get(state)
             if d is None:
                 continue
-            tail = self._path_weight(segment[idx:])
-            if tail is None:
-                continue
-            cand = (d[0] + tail[0], d[1] + tail[1])
+            # the detour's cost, then the rest of the old segment
+            cand = lasso_cost(d, path_weight(self.pa.succ, segment[idx:]), 1)
             if cand < best:
                 best = cand
                 best_idx = idx
@@ -382,24 +352,12 @@ class LocalRevisionReplanner(RunFollower):
         else:
             new_suffix = list(old.suffix)
             prefix = detour + old.prefix[best_idx + 1:]
-        prefix_cost = self._path_weight(prefix)
-        suffix_cost = self._path_weight(new_suffix)
-        if prefix_cost is None or suffix_cost is None:
+        prefix_cost = path_weight(self.pa.succ, prefix)
+        suffix_cost = path_weight(self.pa.succ, new_suffix)
+        total = lasso_cost(prefix_cost, suffix_cost, self.beta)
+        if total[1] == INF:
             return None
-        return Run(prefix, new_suffix, old.accepting,
-                   Weight(*prefix_cost), Weight(*suffix_cost),
-                   Weight(*prefix_cost) + Weight(*suffix_cost).scale(self.beta))
-
-    def _path_weight(self, states):
-        succ = self.pa.succ
-        v = t = 0
-        for a, b in zip(states, states[1:]):
-            w = succ[a].get(b)
-            if w is None or w[1] == INF:
-                return None
-            v += w[0]
-            t += w[1]
-        return (v, t)
+        return Run(prefix, new_suffix, old.accepting, prefix_cost, suffix_cost, total)
 
 
 def _walk_parents(parents, state, sources):

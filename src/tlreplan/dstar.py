@@ -17,48 +17,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .weights import INF
-
-INF_W = (INF, INF)
-ZERO_W = (0, 0)
-
-
-class DictGraph:
-    """Plain adjacency graph for the engine; used directly in tests."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.succ = [dict() for _ in range(n)]
-        self.pred = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, w: tuple):
-        if v not in self.succ[u]:
-            self.pred[v].append(u)
-        self.succ[u][v] = w
-
-    def set_weight(self, u: int, v: int, w: tuple):
-        self.add_edge(u, v, w)
-
-    def weight(self, u: int, v: int) -> tuple:
-        return self.succ[u][v]
-
-    def succ_items(self, u: int):
-        return self.succ[u].items()
-
-    def pred_items(self, u: int):
-        succ = self.succ
-        return [(p, succ[p][u]) for p in self.pred[u]]
-
-    def has_node(self, u: int) -> bool:
-        return 0 <= u < self.n
-
-    def size(self) -> int:
-        return self.n
-
-    def edges(self):
-        for u, out in enumerate(self.succ):
-            for v, w in out.items():
-                yield u, v, w
+from .weights import INF, INF_W
 
 
 class OverlayGraph:
@@ -83,22 +42,6 @@ class OverlayGraph:
     def set_extra(self, u: int, v: int, w: tuple):
         self.extra_succ.setdefault(u, {})[v] = w
         self.extra_pred.setdefault(v, {})[u] = w
-
-    def set_weight(self, u: int, v: int, w: tuple):
-        ex = self.extra_succ.get(u)
-        if ex is not None and v in ex:
-            ex[v] = w
-            self.extra_pred[v][u] = w
-        elif u < self._n and v in self.pa.succ[u]:
-            self.pa.succ[u][v] = w
-        else:
-            raise KeyError(f"unknown edge {u}->{v}")
-
-    def weight(self, u: int, v: int) -> tuple:
-        ex = self.extra_succ.get(u)
-        if ex is not None and v in ex:
-            return ex[v]
-        return self.pa.succ[u][v]
 
     def succ_items(self, u: int):
         ex = self.extra_succ.get(u)
@@ -142,7 +85,7 @@ class SearchInstance:
         self.h = heuristic if heuristic is not None else _zero_h
         self.km = 0
         self.g: dict[int, tuple] = {}
-        self.rhs: dict[int, tuple] = {goal: ZERO_W}
+        self.rhs: dict[int, tuple] = {goal: (0, 0)}
         self.U: list = []
         self.expansions = 0
         self.counter = counter  # shared expansion tally across instances
@@ -244,15 +187,6 @@ class SearchInstance:
             if force or u in rhs:
                 self.update_vertex(u)
 
-    def apply_edge_changes(self, changes, km_increment: int = 0):
-        """Rewrite edge weights in the graph and requeue affected vertices."""
-        self.km += km_increment
-        seen = set()
-        for u, v, w in changes:
-            self.graph.set_weight(u, v, w)
-            seen.add(u)
-        self.note_changed_edges(seen, force=True)
-
     # -- results -----------------------------------------------------------------
 
     def cost_from(self, s: int = None) -> tuple:
@@ -291,14 +225,3 @@ class SearchInstance:
 def _zero_h(a: int, b: int) -> int:
     return 0
 
-
-def path_weight(graph, path) -> tuple:
-    """Sum of edge weights along a node sequence."""
-    v = t = 0
-    for a, b in zip(path, path[1:]):
-        wv, wt = graph.weight(a, b)
-        if wt == INF:
-            return INF_W
-        v += wv
-        t += wt
-    return (v, t)

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dstar import INF_W, OverlayGraph, SearchInstance, path_weight
-from .weights import INF, Weight
+from .dstar import OverlayGraph, SearchInstance
+from .weights import INF, lasso_cost, path_weight
 
 PREFIX = "prefix"
 SUFFIX = "suffix"
@@ -55,20 +55,18 @@ class Run:
     prefix: list[int]
     suffix: list[int]
     accepting: int
-    prefix_cost: Weight
-    suffix_cost: Weight
-    total: Weight
+    prefix_cost: tuple  # (violation, travel), like every weight
+    suffix_cost: tuple
+    total: tuple
 
     def states(self) -> list[int]:
         """Prefix followed by one loop traversal (shared state deduplicated)."""
         return self.prefix + self.suffix[1:]
 
 
-def total_cost(run: Run, beta: int) -> Weight:
+def total_cost(run: Run, beta: int) -> tuple:
     """Prefix weight plus beta-scaled loop weight, componentwise."""
-    if not run.prefix_cost.finite or not run.suffix_cost.finite:
-        return Weight(INF, INF)
-    return run.prefix_cost + run.suffix_cost.scale(beta)
+    return lasso_cost(run.prefix_cost, run.suffix_cost, beta)
 
 
 @dataclass
@@ -141,12 +139,11 @@ class RunFollower:
 class LTLDStarPlanner(RunFollower):
     """Incremental optimal planner for prefix-suffix runs."""
 
-    def __init__(self, pa, beta: int = 10, heuristic=None, log_pops: bool = False):
+    def __init__(self, pa, beta: int = 10, heuristic=None):
         super().__init__()
         check_beta(beta)
         self.pa = pa
         self.beta = beta
-        self._log_pops = log_pops
         n = pa.n_states
         self.synth_start = n
         self.global_img = n + 1
@@ -193,8 +190,7 @@ class LTLDStarPlanner(RunFollower):
         graph.add_virtual(img)
         for p in pa.pred[acc]:
             graph.set_extra(p, img, pa.succ[p][acc])
-        inst = SearchInstance(graph, start=acc, goal=img, log_pops=self._log_pops,
-                              counter=self._counter)
+        inst = SearchInstance(graph, start=acc, goal=img, counter=self._counter)
         inst.compute_shortest_path()
         return SuffixRecord(k, acc, img, graph, inst, inst.cost_from(acc))
 
@@ -230,10 +226,8 @@ class LTLDStarPlanner(RunFollower):
         self._rec_by_acc = {rec.acc: rec for rec in self.records}
         start = self._start_state()
         self.main_graph = self._build_main_graph(start)
-        self.main = SearchInstance(
-            self.main_graph, start=start, goal=self.global_img,
-            heuristic=self._h, log_pops=self._log_pops, counter=self._counter,
-        )
+        self.main = SearchInstance(self.main_graph, start=start, goal=self.global_img,
+                                   heuristic=self._h, counter=self._counter)
         path = self._solve_main()
         self.last_expansions = self._expansion_total() - before
         return self._extract_run(path)
@@ -277,10 +271,8 @@ class LTLDStarPlanner(RunFollower):
             self.main.note_changed_edges(sources, force=not skip_ok)
         else:
             self.main_graph = self._build_main_graph(current)
-            self.main = SearchInstance(
-                self.main_graph, start=current, goal=self.global_img,
-                heuristic=self._h, log_pops=self._log_pops, counter=self._counter,
-            )
+            self.main = SearchInstance(self.main_graph, start=current, goal=self.global_img,
+                                       heuristic=self._h, counter=self._counter)
         path = self._solve_main()
         self.last_expansions = self._expansion_total() - before
         return self._extract_run(path)
@@ -299,7 +291,8 @@ class LTLDStarPlanner(RunFollower):
             self._update_goal_edge(rec)
 
     def _update_goal_edge(self, rec: SuffixRecord):
-        self.main_graph.set_extra(rec.acc, self.global_img, _scaled(rec.cost, self.beta))
+        goal_w = lasso_cost((0, 0), rec.cost, self.beta)
+        self.main_graph.set_extra(rec.acc, self.global_img, goal_w)
         self.main.update_vertex(rec.acc)
 
     def _build_main_graph(self, start: int) -> OverlayGraph:
@@ -307,7 +300,7 @@ class LTLDStarPlanner(RunFollower):
         graph.add_virtual(self.global_img)
         beta = self.beta
         for rec in self.records:
-            graph.set_extra(rec.acc, self.global_img, _scaled(rec.cost, beta))
+            graph.set_extra(rec.acc, self.global_img, lasso_cost((0, 0), rec.cost, beta))
         if start == self.synth_start:
             graph.add_virtual(self.synth_start)
             for s0 in self.pa.initial:
@@ -323,17 +316,12 @@ class LTLDStarPlanner(RunFollower):
             prefix = prefix[1:]
         rec = self._rec_by_acc[acc]
         loop = list(rec.get_loop())
-        prefix_cost = Weight(*path_weight(self.main_graph, prefix))
-        run = Run(prefix, loop, acc, prefix_cost, Weight(*rec.cost),
-                  prefix_cost + Weight(*rec.cost).scale(self.beta))
+        prefix_cost = path_weight(self.pa.succ, prefix)
+        run = Run(prefix, loop, acc, prefix_cost, rec.cost,
+                  lasso_cost(prefix_cost, rec.cost, self.beta))
         self._set_run(run)
         return run
 
     def _expansion_total(self) -> int:
         return self._counter[0]
 
-
-def _scaled(cost: tuple, beta: int) -> tuple:
-    if cost[1] == INF:
-        return INF_W
-    return (cost[0] * beta, cost[1] * beta)

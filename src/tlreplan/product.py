@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hoa import NBA, cubes_distance, cubes_enable
-from .weights import INF, INF_WEIGHT
+from .weights import INF, INF_W
 from .wts import WTS
 
 PLAIN = "plain"
@@ -71,7 +71,7 @@ class ProductAutomaton:
                 for qm, qn, viol in pairs_for(labels[j]):
                     u = base + qm
                     v = vbase + qn
-                    succ[u][v] = INF_WEIGHT if d == INF else (viol, d)
+                    succ[u][v] = INF_W if d == INF else (viol, d)
                     pred[v].append(u)
         self.succ = succ
         self.pred = pred
@@ -133,7 +133,7 @@ class ProductAutomaton:
         vbase = j * nq
         out = []
         for qm, qn, viol in self._pairs_for_label(self.wts.labels[j]):
-            w = INF_WEIGHT if new_travel == INF else (viol, new_travel)
+            w = INF_W if new_travel == INF else (viol, new_travel)
             out.append(PAEdgeChange(base + qm, vbase + qn, w))
         return out
 

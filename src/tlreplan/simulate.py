@@ -220,8 +220,7 @@ def simulate(scenario: GridScenario, nba, beta: int = 10, mode: str = PLAIN,
             return report
         dt = time.perf_counter_ns() - t0
         report.events.append(EventRow(event_index, phase, len(mod), dt,
-                                      planner.last_expansions,
-                                      run.total.violation, run.total.travel))
+                                      planner.last_expansions, *run.total))
         if replan_hook is not None:
             replan_hook("replan", planner, run, mod)
         event_index += 1
@@ -255,8 +254,7 @@ def replay_iterative(scenario: GridScenario, nba, recorded, beta: int = 10,
         try:
             run, pops = solve_fresh(pa, [ev.state], beta)
             dt = time.perf_counter_ns() - t0
-            report.events.append(EventRow(i, ev.phase, len(ev.mod), dt, pops,
-                                          run.total.violation, run.total.travel))
+            report.events.append(EventRow(i, ev.phase, len(ev.mod), dt, pops, *run.total))
         except NoAcceptingRun:
             dt = time.perf_counter_ns() - t0
             report.events.append(EventRow(i, ev.phase, len(ev.mod), dt, 0, INF, INF))

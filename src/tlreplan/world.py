@@ -57,6 +57,11 @@ class GridScenario:
     bump_cost: int = 50
 
     def __post_init__(self):
+        if self.move_cost < 1 or self.bump_cost < self.move_cost:
+            # the grid heuristic's step is the cheapest edge at planner
+            # construction; a revealed bump below it would break admissibility
+            raise ValueError(f"need 1 <= move_cost <= bump_cost, got move_cost="
+                             f"{self.move_cost} and bump_cost={self.bump_cost}")
         for cell in [self.start, *self.obstacles, *self.bumps]:
             self._check_bounds(cell)
         for cells in self.regions.values():
@@ -184,7 +189,14 @@ def _in_edge_events(scenario, belief, cell, kind, weight) -> list[ChangeEvent]:
 
 
 def make_grid_heuristic(pa):
-    """Admissible travel estimate: cheapest step cost times Manhattan distance."""
+    """Admissible travel estimate: cheapest step cost times Manhattan distance.
+
+    The step is fixed at the cheapest WTS edge when this is called. Every
+    later reweight must stay at or above it, or the estimate overshoots and
+    the incremental search can return wrong costs or fail to extract a path.
+    `GridScenario` guarantees this for its revealed bumps; library callers
+    that feed `map_wts_change` their own reweights must keep it themselves.
+    """
     coords = pa.wts.coords
     if coords is None:
         return None
@@ -237,12 +249,6 @@ def scenario_to_dict(scenario: GridScenario) -> dict:
 def load_scenario(path) -> GridScenario:
     with open(path, encoding="utf-8") as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def save_scenario(scenario: GridScenario, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=1)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

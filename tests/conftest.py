@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from tlreplan.dstar import DictGraph
 from tlreplan.hoa import parse_nba_file
+from tlreplan.weights import INF, INF_W
 
 ASSETS = Path(__file__).resolve().parent.parent / "src" / "tlreplan" / "assets"
 
@@ -22,6 +22,72 @@ def seq_nba_anchored():
 @pytest.fixture(scope="session")
 def seq_nba_32():
     return parse_nba_file(ASSETS / "sequence_abcd_32.hoa")
+
+
+class DictGraph:
+    """Plain adjacency graph implementing the engine's graph protocol."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.succ = [dict() for _ in range(n)]
+        self.pred = [[] for _ in range(n)]
+
+    def add_edge(self, u: int, v: int, w: tuple):
+        """Add an edge, or rewrite its weight if it exists."""
+        if v not in self.succ[u]:
+            self.pred[v].append(u)
+        self.succ[u][v] = w
+
+    def succ_items(self, u: int):
+        return self.succ[u].items()
+
+    def pred_items(self, u: int):
+        succ = self.succ
+        return [(p, succ[p][u]) for p in self.pred[u]]
+
+    def has_node(self, u: int) -> bool:
+        return 0 <= u < self.n
+
+    def size(self) -> int:
+        return self.n
+
+    def edges(self):
+        for u, out in enumerate(self.succ):
+            for v, w in out.items():
+                yield u, v, w
+
+
+def apply_edge_changes(inst, changes):
+    """Rewrite (u, v, weight) edges of a DictGraph search, then requeue their tails.
+
+    The repair goes through `note_changed_edges(force=True)`, the method the
+    planner uses after a change set that may create edges.
+    """
+    sources = set()
+    for u, v, w in changes:
+        inst.graph.add_edge(u, v, w)
+        sources.add(u)
+    inst.note_changed_edges(sources, force=True)
+
+
+def bellman_ford(n_states, edges, sources):
+    """Naive lexicographic relaxation; cross-check for the oracle on small graphs."""
+    dist = {s: (0, 0) for s in sources}
+    for _ in range(n_states - 1):
+        changed = False
+        for u, v, (wv, wt) in edges:
+            if wt == INF:
+                continue
+            du = dist.get(u)
+            if du is None:
+                continue
+            cand = (du[0] + wv, du[1] + wt)
+            if cand < dist.get(v, INF_W):
+                dist[v] = cand
+                changed = True
+        if not changed:
+            break
+    return dist
 
 
 def random_weighted_graph(rng: random.Random, n: int = 64, avg_degree: float = 3.0,

@@ -3,16 +3,14 @@ import random
 
 import pytest
 
-from conftest import random_weighted_graph, visit_in_order_hoa
+from conftest import bellman_ford, random_weighted_graph, visit_in_order_hoa
 from tlreplan.baselines import (IterativeReplanner, LocalRevisionReplanner,
-                                bellman_ford, dijkstra_oracle, lex_dijkstra,
-                                loop_cost, solve_fresh)
+                                dijkstra_oracle, lex_dijkstra, loop_cost, solve_fresh)
 from tlreplan.hoa import parse_nba
 from tlreplan.planner import LTLDStarPlanner, NoAcceptingRun
 from tlreplan.product import build_product, build_relaxed_product
 from tlreplan.simulate import simulate
 from tlreplan.world import Belief, ChangeEvent, GridScenario, initial_belief, random_map, to_wts
-from tlreplan.weights import Weight
 
 INF = math.inf
 
@@ -21,6 +19,41 @@ def test_lex_dijkstra_prefers_low_violation():
     succ = {0: [(1, (1, 5)), (2, (0, 50))], 1: [(3, (0, 5))], 2: [(3, (0, 5))], 3: []}
     dist, _ = lex_dijkstra(lambda u: succ[u], [0])
     assert dist[3] == (0, 55)
+
+
+def test_lex_dijkstra_pushes_only_on_improvement(monkeypatch, seq_nba):
+    # every heap entry must strictly lower its state's tentative cost; the
+    # settled distances stay those of the naive relaxation
+    import tlreplan.baselines as baselines
+    pushed = {}
+    real_push = baselines.heappush
+
+    def checked_push(heap, entry):
+        cost, v = entry
+        assert cost < pushed.get(v, (INF, INF)), f"push {entry} after {pushed[v]}"
+        pushed[v] = cost
+        real_push(heap, entry)
+
+    monkeypatch.setattr(baselines, "heappush", checked_push)
+    for seed in range(6):
+        scn = random_map(seed, 6, 0.2, allow_infeasible=True, bump_density=0.2)
+        for build in (build_product, build_relaxed_product):
+            pa = build(to_wts(scn, Belief(), seq_nba.universe), seq_nba)
+            fwd = lambda u: pa.succ[u].items()
+            bwd = lambda u: [(p, pa.succ[p][u]) for p in pa.pred[u]]
+            edges = [(u, v, w) for u in range(pa.n_states) for v, w in pa.succ[u].items()]
+            pushed.clear()
+            dist, pops = lex_dijkstra(fwd, list(pa.initial))
+            assert pops == len(dist)
+            assert dist == bellman_ford(pa.n_states, edges, list(pa.initial))
+            pushed.clear()
+            dist, pops = lex_dijkstra(bwd, [(acc, (0, 10 * k))
+                                            for k, acc in enumerate(pa.accepting)])
+            assert pops == len(dist)
+            pushed.clear()
+            parents = {}
+            lex_dijkstra(fwd, [pa.initial[0]], targets=pa.accepting[:2], parents=parents)
+            assert all(pushed[v] == cost for v, (cost, _u) in parents.items())
 
 
 def test_bellman_ford_agrees_with_dijkstra_on_random_graphs():
@@ -81,14 +114,14 @@ class TestOracle:
         pa, _, _ = _pa(seq_nba)
         result = dijkstra_oracle(pa, [pa.sid(0, 0)], 10)
         assert result.best_index is not None
-        assert result.best_total.travel < INF
+        assert result.best_total[1] < INF
         # deleting every edge into the accepting states breaks all loops
         for acc in pa.accepting:
             for p in pa.pred[acc]:
                 pa.succ[p][acc] = (INF, INF)
         result2 = dijkstra_oracle(pa, [pa.sid(0, 0)], 10)
         assert result2.best_index is None
-        assert result2.best_total == Weight(INF, INF)
+        assert result2.best_total == (INF, INF)
 
     def test_single_accepting_self_loop(self):
         from test_planner import TinyPA
@@ -96,9 +129,9 @@ class TestOracle:
                     accepting=[1], initial=[0])
         result = dijkstra_oracle(pa, [0], 10)
         assert result.best_index == 0
-        assert result.prefix[0] == Weight(0, 10)
-        assert result.loops[0] == Weight(0, 7)
-        assert result.best_total == Weight(0, 10 + 10 * 7)
+        assert result.prefix[0] == (0, 10)
+        assert result.loops[0] == (0, 7)
+        assert result.best_total == (0, 10 + 10 * 7)
 
     def test_loop_cost_short_circuits_without_predecessors(self):
         from test_planner import TinyPA
@@ -171,7 +204,7 @@ class TestIterative:
         from tlreplan.world import Belief
         pa = build_product(to_wts(scn, Belief(), seq_nba.universe), seq_nba)
         run, _ = solve_fresh(pa, list(pa.initial), 10)
-        assert rep.traversed_travel == run.prefix_cost.travel + run.suffix_cost.travel
+        assert rep.traversed_travel == run.prefix_cost[1] + run.suffix_cost[1]
 
     def test_raises_without_accepting_run(self):
         from test_planner import TinyPA

@@ -104,6 +104,17 @@ def test_simulate_nonpositive_beta_is_input_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_simulate_bump_cheaper_than_move_is_input_error(tmp_path, capsys):
+    data = json.loads((ASSETS / "bench_map_a.json").read_text())
+    data["bump_cost"] = 2
+    cheap = tmp_path / "cheap_bumps.json"
+    cheap.write_text(json.dumps(data))
+    assert main(["simulate", SEQ, str(cheap)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "move_cost=10" in err and "bump_cost=2" in err
+
+
 def test_build_unknown_builtin_nba_is_input_error(capsys):
     assert main(["build", "builtin:nope", MAP_A]) == 1
     assert capsys.readouterr().err.startswith("error: ")

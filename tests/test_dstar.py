@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from conftest import random_weighted_graph, reverse_dijkstra_cost
-from tlreplan.dstar import INF_W, DictGraph, SearchInstance, path_weight
+from conftest import DictGraph, apply_edge_changes, random_weighted_graph, reverse_dijkstra_cost
+from tlreplan.dstar import SearchInstance
+from tlreplan.weights import INF_W, path_weight
 
 INF = math.inf
 
@@ -123,7 +124,7 @@ def test_disconnection_yields_infinite_cost():
     g = _chain([10, 10])
     inst = SearchInstance(g, 0, 2)
     inst.compute_shortest_path()
-    inst.apply_edge_changes([(1, 2, (0, INF))])
+    apply_edge_changes(inst, [(1, 2, (0, INF))])
     inst.compute_shortest_path()
     assert inst.cost_from() == INF_W
 
@@ -133,7 +134,7 @@ def test_empty_change_set_is_noop():
     inst = SearchInstance(g, 0, 2)
     inst.compute_shortest_path()
     before = (dict(inst.g), dict(inst.rhs), inst.expansions)
-    inst.apply_edge_changes([], km_increment=0)
+    apply_edge_changes(inst, [])
     inst.compute_shortest_path()
     assert (dict(inst.g), dict(inst.rhs), inst.expansions) == before
 
@@ -179,7 +180,7 @@ def test_mutation_interleaving_matches_fresh_search():
                 else:
                     w = (0, rng.randint(1, 9) * 10)
                 batch.append((u, v, w))
-            inst.apply_edge_changes(batch)
+            apply_edge_changes(inst, batch)
             inst.compute_shortest_path()
         oracle = reverse_dijkstra_cost(g, 63)
         assert inst.cost_from() == oracle.get(0, INF_W), f"seed {seed}"
@@ -196,7 +197,7 @@ def test_extracted_path_weight_equals_cost():
             continue
         path = inst.extract_path()
         assert path[0] == 0 and path[-1] == 47
-        assert path_weight(g, path) == inst.cost_from(), f"seed {seed}"
+        assert path_weight(g.succ, path) == inst.cost_from(), f"seed {seed}"
         checked += 1
         if checked >= 50:
             break
@@ -232,7 +233,7 @@ def test_start_move_plus_changes_still_optimal():
             inst.move_start(nxt)
             current = nxt
             u, v = rng.choice(edges)
-            inst.apply_edge_changes([(u, v, (0, rng.randint(1, 9) * 10))])
+            apply_edge_changes(inst, [(u, v, (0, rng.randint(1, 9) * 10))])
             inst.compute_shortest_path()
             oracle = reverse_dijkstra_cost(g, 49)
             assert inst.cost_from(current) == oracle.get(current, INF_W), f"seed {seed}"

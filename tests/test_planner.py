@@ -9,7 +9,6 @@ from tlreplan.baselines import dijkstra_oracle, loop_cost, solve_fresh
 from tlreplan.hoa import parse_nba
 from tlreplan.planner import (LTLDStarPlanner, NoAcceptingRun, Run, total_cost)
 from tlreplan.product import PAEdgeChange, build_product, build_relaxed_product
-from tlreplan.weights import Weight
 from tlreplan.world import (Belief, ChangeEvent, initial_belief, make_grid_heuristic,
                             random_map, sense, to_wts)
 from tlreplan.wts import WTS
@@ -157,9 +156,9 @@ def test_plan_initial_degenerate_single_state_nba():
     planner = LTLDStarPlanner(pa, beta=10)
     run = planner.plan_initial()
     assert len(run.prefix) == 1
-    assert run.prefix_cost == Weight(0, 0)
-    assert run.suffix_cost == Weight(0, 20)  # cheapest two-step shuttle
-    assert run.total == Weight(0, 200)
+    assert run.prefix_cost == (0, 0)
+    assert run.suffix_cost == (0, 20)  # cheapest two-step shuttle
+    assert run.total == (0, 200)
 
 
 def test_plan_initial_matches_oracle_on_benchmark(seq_nba):
@@ -172,7 +171,7 @@ def test_plan_initial_matches_oracle_on_benchmark(seq_nba):
     run = planner.plan_initial()
     oracle = dijkstra_oracle(pa, list(pa.initial), 10)
     assert tuple(run.total) == tuple(oracle.best_total)
-    assert run.total.violation == 0
+    assert run.total[0] == 0
 
 
 def test_plan_initial_no_accepting_run_raises():
@@ -195,7 +194,7 @@ def test_plan_relaxed_when_plain_infeasible(seq_nba):
         LTLDStarPlanner(plain, beta=10).plan_initial()
     relaxed = build_relaxed_product(wts, seq_nba)
     run = LTLDStarPlanner(relaxed, beta=10).plan_initial()
-    assert run.total.violation > 0
+    assert run.total[0] > 0
     oracle = dijkstra_oracle(relaxed, list(relaxed.initial), 10)
     assert tuple(run.total) == tuple(oracle.best_total)
 
@@ -289,24 +288,24 @@ def test_suffix_independence(seq_nba):
 
 def test_total_cost_examples():
     run = Run(prefix=[0], suffix=[0, 1, 0], accepting=0,
-              prefix_cost=Weight(0, 0), suffix_cost=Weight(0, 40),
-              total=Weight(0, 400))
-    assert total_cost(run, 10) == Weight(0, 400)
+              prefix_cost=(0, 0), suffix_cost=(0, 40),
+              total=(0, 400))
+    assert total_cost(run, 10) == (0, 400)
     run = Run(prefix=[2, 0], suffix=[0, 1, 0], accepting=0,
-              prefix_cost=Weight(0, 30), suffix_cost=Weight(0, 40),
-              total=Weight(0, 430))
-    assert total_cost(run, 10) == Weight(0, 430)
+              prefix_cost=(0, 30), suffix_cost=(0, 40),
+              total=(0, 430))
+    assert total_cost(run, 10) == (0, 430)
     run = Run(prefix=[2, 0], suffix=[0, 1, 0], accepting=0,
-              prefix_cost=Weight(1, 30), suffix_cost=Weight(2, 40),
-              total=Weight(21, 430))
-    assert total_cost(run, 10) == Weight(21, 430)
+              prefix_cost=(1, 30), suffix_cost=(2, 40),
+              total=(21, 430))
+    assert total_cost(run, 10) == (21, 430)
 
 
 def test_total_cost_infinite_when_loop_missing():
     run = Run(prefix=[0], suffix=[], accepting=0,
-              prefix_cost=Weight(0, 0), suffix_cost=Weight(INF, INF),
-              total=Weight(INF, INF))
-    assert total_cost(run, 10) == Weight(INF, INF)
+              prefix_cost=(0, 0), suffix_cost=(INF, INF),
+              total=(INF, INF))
+    assert total_cost(run, 10) == (INF, INF)
 
 
 def test_beta_validation():

@@ -118,6 +118,19 @@ class TestSense:
         assert (1, 2) in belief.known_obstacles
 
 
+@pytest.mark.parametrize("move_cost, bump_cost", [(10, 2), (10, 9), (0, 50), (0, 0)])
+def test_scenario_rejects_a_bump_cheaper_than_a_move(move_cost, bump_cost):
+    # the grid heuristic fixes its step at the cheapest edge when the planner
+    # is built, so a revealed bump below it would make the heuristic overshoot
+    with pytest.raises(ValueError, match=f"move_cost={move_cost} and bump_cost={bump_cost}"):
+        _empty(6, move_cost=move_cost, bump_cost=bump_cost)
+
+
+def test_scenario_accepts_a_bump_as_cheap_as_a_move():
+    assert _empty(6, move_cost=10, bump_cost=10).bump_cost == 10
+    assert _empty(6, move_cost=1, bump_cost=1).move_cost == 1
+
+
 def test_scenario_json_round_trip(tmp_path):
     scn = _empty(10, walls={frozenset(((4, 0), (5, 0)))},
                  obstacles={(3, 3)}, bumps={(6, 6)})
