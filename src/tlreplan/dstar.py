@@ -11,6 +11,17 @@ ones.
 Queue entries are never removed in place: each carries the key it was
 inserted with, and entries whose key no longer matches are skipped or
 refreshed when popped.
+
+Invariant: for every state but the goal, rhs is the one-step lookahead
+min over successors v of w(s, v) + g(v); an absent entry means INF_W.
+D* Lite's optimized expansion step rests on it. When g(u) falls to
+rhs(u), a predecessor's lookahead can only tighten to w + g(u): an O(1)
+update, queued only if its rhs fell and it is now inconsistent (one
+behind a deleted edge is just marked reached, for `note_changed_edges`).
+When g(u) rises to INF_W, only predecessors whose rhs equals w + the old
+g(u), whose lookahead ran through u, are rescanned. Edge changes and goal
+edges keep full rescans (`update_vertex`). The start key is recomputed
+only when g or rhs of the start changes.
 """
 
 from __future__ import annotations
@@ -131,9 +142,16 @@ class SearchInstance:
         pred_items = self.graph.pred_items
         update = self.update_vertex
         log = self.pop_log
+        start = self.start
+        goal = self.goal
+        gs = rs = start_key = None
         while U:
-            start_key = self.calculate_key(self.start)
-            if not (U[0][0] < start_key or g.get(self.start, INF_W) != rhs.get(self.start, INF_W)):
+            g_start = g.get(start, INF_W)
+            r_start = rhs.get(start, INF_W)
+            if g_start is not gs or r_start is not rs:
+                gs, rs = g_start, r_start
+                start_key = self.calculate_key(start)
+            if not (U[0][0] < start_key or g_start != r_start):
                 break
             k_old, u = heappop(U)
             k_new = self.calculate_key(u)
@@ -154,13 +172,25 @@ class SearchInstance:
             if log is not None:
                 log.append((k_old, u))
             if gu > ru:
+                # g(u) fell to rhs(u): each lookahead through u can only tighten
                 g[u] = ru
-                for p, _w in pred_items(u):
-                    update(p)
+                rv, rt = ru
+                for p, (wv, wt) in pred_items(u):
+                    if wt == INF:
+                        rhs.setdefault(p, INF_W)  # reached, for note_changed_edges
+                        continue
+                    cand = (rv + wv, rt + wt)
+                    if p != goal and cand < rhs.get(p, INF_W):
+                        rhs[p] = cand
+                        if g.get(p, INF_W) != cand:
+                            heappush(U, (self.calculate_key(p), p))
             else:
+                # g(u) rose to infinity: rescan the states whose lookahead ran through u
                 g[u] = INF_W
-                for p, _w in pred_items(u):
-                    update(p)
+                gv, gt = gu
+                for p, (wv, wt) in pred_items(u):
+                    if wt != INF and p != goal and rhs.get(p) == (gv + wv, gt + wt):
+                        update(p)
                 update(u)
 
     # -- change application -----------------------------------------------------

@@ -1,8 +1,10 @@
 import random
+from heapq import heappop, heappush
 from pathlib import Path
 
 import pytest
 
+from tlreplan.dstar import SearchInstance
 from tlreplan.hoa import parse_nba_file
 from tlreplan.weights import INF, INF_W
 
@@ -60,14 +62,52 @@ class DictGraph:
 def apply_edge_changes(inst, changes):
     """Rewrite (u, v, weight) edges of a DictGraph search, then requeue their tails.
 
-    The repair goes through `note_changed_edges(force=True)`, the method the
-    planner uses after a change set that may create edges.
+    The repair goes through `note_changed_edges` as the planner calls it:
+    with `force=True` only when the batch creates an edge, so batches that
+    rewrite existing edges exercise its skip of never-reached tails.
     """
+    succ = inst.graph.succ
+    created = any(v not in succ[u] for u, v, _w in changes)
     sources = set()
     for u, v, w in changes:
         inst.graph.add_edge(u, v, w)
         sources.add(u)
-    inst.note_changed_edges(sources, force=True)
+    inst.note_changed_edges(sources, force=created)
+
+
+class RescanSearchInstance(SearchInstance):
+    """Reference engine with the textbook expansion step.
+
+    Every predecessor of an expanded state is rescanned with `update_vertex`,
+    and the start key is recomputed on every pop. `SearchInstance` tightens
+    predecessors in O(1) instead; both must expand the same states in the
+    same order and end with the same `g` and `rhs`.
+    """
+
+    def compute_shortest_path(self):
+        U, g, rhs = self.U, self.g, self.rhs
+        while U:
+            start_key = self.calculate_key(self.start)
+            if not (U[0][0] < start_key or g.get(self.start, INF_W) != rhs.get(self.start, INF_W)):
+                break
+            k_old, u = heappop(U)
+            k_new = self.calculate_key(u)
+            if k_old < k_new:
+                if g.get(u, INF_W) != rhs.get(u, INF_W):
+                    heappush(U, (k_new, u))
+                continue
+            gu = g.get(u, INF_W)
+            ru = rhs.get(u, INF_W)
+            if k_old > k_new or gu == ru:
+                continue
+            self.expansions += 1
+            if self.pop_log is not None:
+                self.pop_log.append((k_old, u))
+            g[u] = ru if gu > ru else INF_W
+            for p, _w in self.graph.pred_items(u):
+                self.update_vertex(p)
+            if gu < ru:
+                self.update_vertex(u)
 
 
 def bellman_ford(n_states, edges, sources):

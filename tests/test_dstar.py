@@ -1,9 +1,11 @@
+import copy
 import math
 import random
 
 import pytest
 
-from conftest import DictGraph, apply_edge_changes, random_weighted_graph, reverse_dijkstra_cost
+from conftest import (DictGraph, RescanSearchInstance, apply_edge_changes, random_weighted_graph,
+                      reverse_dijkstra_cost)
 from tlreplan.dstar import SearchInstance
 from tlreplan.weights import INF_W, path_weight
 
@@ -237,3 +239,89 @@ def test_start_move_plus_changes_still_optimal():
             inst.compute_shortest_path()
             oracle = reverse_dijkstra_cost(g, 49)
             assert inst.cost_from(current) == oracle.get(current, INF_W), f"seed {seed}"
+
+
+def _lookahead(inst, s):
+    best = INF_W
+    for v, (wv, wt) in inst.graph.succ_items(s):
+        gv = inst.g.get(v, INF_W)
+        if wt != INF and gv[1] != INF:
+            best = min(best, (gv[0] + wv, gv[1] + wt))
+    return best
+
+
+def _random_batch(rng, g):
+    """Raises, drops (deleted edges restored among them), deletes and created edges."""
+    edges = list(g.edges())
+    batch = []
+    for _ in range(rng.randint(1, 6)):
+        u, v, (wv, wt) = rng.choice(edges)
+        kind = rng.random()
+        if kind < 0.3 and wt != INF:
+            batch.append((u, v, (wv + rng.randint(0, 1), wt + rng.randint(1, 5) * 10)))
+        elif kind < 0.55:
+            top = 9 if wt == INF else max(1, wt // 10 - 1)
+            batch.append((u, v, (rng.randint(0, min(wv, 2)), rng.randint(1, top) * 10)))
+        elif kind < 0.8:
+            batch.append((u, v, INF_W))
+        else:
+            a, b = rng.randrange(g.n), rng.randrange(g.n)
+            if a != b and b not in g.succ[a]:
+                batch.append((a, b, (rng.randint(0, 2), rng.randint(1, 9) * 10)))
+    return batch
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tightening_expansion_matches_rescan_reference(seed):
+    """The O(1) expansion step keeps the lookahead invariant and the textbook pop order.
+
+    Mixed change batches go through `apply_edge_changes` (forced only when an
+    edge is created, as in the planner), interleaved with start moves under
+    a consistent heuristic. After every search: each state's rhs is its
+    one-step lookahead (absent meaning INF_W), the start's cost equals a
+    reverse Dijkstra, and pops, g and rhs equal those of the reference that
+    rescans every predecessor.
+    """
+    rng = random.Random(5000 + seed)
+    n = 40
+    g = random_weighted_graph(rng, n=n, avg_degree=3.0, max_violation=2 if seed % 2 else 0)
+    for u, v, _w in rng.sample(list(g.edges()), n // 4):
+        g.add_edge(u, v, INF_W)  # deleted before the first search, restored by later drops
+    x = [rng.randrange(10) for _ in range(n)]
+    h = lambda a, b: abs(x[a] - x[b])  # every travel is >= 10, so h is consistent
+    inst = SearchInstance(g, start=0, goal=n - 1, heuristic=h, log_pops=True)
+    ref = RescanSearchInstance(copy.deepcopy(g), start=0, goal=n - 1, heuristic=h,
+                               log_pops=True)
+    for step in range(8):
+        inst.compute_shortest_path()
+        ref.compute_shortest_path()
+        for s in range(n - 1):
+            assert inst.rhs.get(s, INF_W) == _lookahead(inst, s), f"seed {seed} step {step} s {s}"
+        oracle = reverse_dijkstra_cost(g, n - 1)
+        assert inst.cost_from() == oracle.get(inst.start, INF_W), f"seed {seed} step {step}"
+        assert inst.pop_log == ref.pop_log, f"seed {seed} step {step}"
+        assert (inst.g, inst.rhs) == (ref.g, ref.rhs), f"seed {seed} step {step}"
+        if rng.random() < 0.5 and inst.cost_from()[1] != INF and inst.start != n - 1:
+            nxt = inst.extract_path()[1]
+            inst.move_start(nxt)
+            ref.move_start(nxt)
+        batch = _random_batch(rng, g)
+        apply_edge_changes(inst, batch)
+        apply_edge_changes(ref, batch)
+
+
+def test_restored_edge_reaches_a_state_behind_it():
+    """A deleted edge into an expanded state, restored later, is seen without force.
+
+    The restore rewrites an existing edge, so its tail is requeued only if the
+    search has reached it; expanding the head must count a tail behind a
+    deleted edge as reached.
+    """
+    g = DictGraph(2)
+    g.add_edge(0, 1, INF_W)
+    inst = SearchInstance(g, start=0, goal=1)
+    inst.compute_shortest_path()
+    assert inst.cost_from() == INF_W
+    apply_edge_changes(inst, [(0, 1, (0, 5))])
+    inst.compute_shortest_path()
+    assert inst.cost_from() == (0, 5)
