@@ -156,10 +156,14 @@ def loop_cost(pa, acc) -> tuple[tuple, int]:
 def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
     """Single-shot optimal run, reconstructed exactly like the incremental planner.
 
-    Computes every accepting state's loop cost, then one backward sweep of
-    the cost-to-virtual-goal values, and finally descends those values
-    greedily (ties to the lowest state index, closing the loop only when
-    strictly cheaper, which mirrors the virtual goal's high index).
+    Computes every accepting state's loop cost, then sweeps the
+    cost-to-virtual-goal values backward until every source is settled,
+    and finally descends those values greedily (ties to the lowest state
+    index, closing the loop only when strictly cheaper, which mirrors the
+    virtual goal's high index). Stopping the sweep early is exact: every
+    product edge has travel >= 1 (`WTS` and `map_wts_change` reject less),
+    so each state the descent can choose costs strictly less than the
+    last source settled, and was settled before it.
     """
     check_beta(beta)
     sources = list(start) if isinstance(start, (list, tuple)) else [start]
@@ -175,7 +179,7 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
     if not loops_scaled:
         raise NoAcceptingRun("no accepting state has a finite loop")
     seeds = [(acc, w) for acc, w in loops_scaled.items()]
-    total_d, p2 = lex_dijkstra(_bwd(pa), seeds)
+    total_d, p2 = lex_dijkstra(_bwd(pa), seeds, targets=sources)
     pops += p2
 
     best_src = None
@@ -227,13 +231,17 @@ def _descend(pa, values, start, closing, limit_slack: int = 10):
 
 
 def _loop_path(pa, acc) -> tuple[list[int], int]:
-    """Loop through acc, mirroring the planner's imaginary-goal extraction."""
+    """Loop through acc, mirroring the planner's imaginary-goal extraction.
+
+    The backward sweep stops once `acc` is settled; as in `solve_fresh`,
+    every state the descent can choose costs strictly less than `acc`.
+    """
     seeds = []
     for p in pa.pred[acc]:
         w = pa.succ[p][acc]
         if w[1] != INF:
             seeds.append((p, w))
-    dist, pops = lex_dijkstra(_bwd(pa), seeds)
+    dist, pops = lex_dijkstra(_bwd(pa), seeds, targets=[acc])
     closing = {}
     for p in pa.pred[acc]:
         w = pa.succ[p][acc]
