@@ -3,7 +3,8 @@
 from .hoa import (NBA, GuardTooLargeError, HoaParseError, UnsupportedHoaError, parse_nba,
                   parse_nba_file)
 from .labels import APUniverse, APUniverseError, Label, rho, xi, zeta
-from .planner import LTLDStarPlanner, NoAcceptingRun, Run, total_cost
+from .planner import (LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError, Run,
+                      total_cost)
 from .product import (ProductAutomaton, build_product, build_relaxed_product,
                       dist)
 from .simulate import TraceReport, replay_iterative, simulate
@@ -13,7 +14,8 @@ from .wts import WTS, load_wts
 __all__ = [
     "APUniverse", "APUniverseError", "GridScenario", "GuardTooLargeError",
     "HoaParseError", "Label", "LTLDStarPlanner", "NBA", "NoAcceptingRun",
-    "ProductAutomaton", "Run", "TraceReport", "UnsupportedHoaError", "WTS",
+    "ProductAutomaton", "ReweightBelowStepError", "Run", "TraceReport",
+    "UnsupportedHoaError", "WTS",
     "build_product", "build_relaxed_product", "dist", "load_scenario", "load_wts",
     "parse_nba", "parse_nba_file", "random_map", "replay_iterative", "rho",
     "sense", "simulate", "to_wts", "total_cost", "xi", "zeta",

@@ -44,6 +44,11 @@ class NoAcceptingRun(Exception):
     """No accepting state has both a reachable prefix and a finite loop."""
 
 
+class ReweightBelowStepError(ValueError):
+    """A change set sets an edge's travel below the heuristic's step (`h.step`),
+    which would make the heuristic inadmissible."""
+
+
 def check_beta(beta: int) -> None:
     """Reject a suffix weighting below 1, which would discount the loop away."""
     if beta < 1:
@@ -238,6 +243,12 @@ class LTLDStarPlanner(RunFollower):
             raise RuntimeError("plan_initial must run before replan")
         if not mod:
             return self.run
+        step = getattr(self._base_h, "step", 0)
+        low = [ch for ch in mod if ch.weight[1] < step]
+        if low:
+            raise ReweightBelowStepError(
+                f"edge {low[0].u}->{low[0].v} travel {low[0].weight[1]} is below the "
+                f"heuristic's step {step}; the product was left unchanged")
         before = self._expansion_total()
         succ = self.pa.succ
         lowers = any(ch.v not in succ[ch.u] or ch.weight < succ[ch.u][ch.v] for ch in mod)

@@ -191,11 +191,12 @@ def _in_edge_events(scenario, belief, cell, kind, weight) -> list[ChangeEvent]:
 def make_grid_heuristic(pa):
     """Admissible travel estimate: cheapest step cost times Manhattan distance.
 
-    The step is fixed at the cheapest WTS edge when this is called. Every
-    later reweight must stay at or above it, or the estimate overshoots and
-    the incremental search can return wrong costs or fail to extract a path.
-    `GridScenario` guarantees this for its revealed bumps; library callers
-    that feed `map_wts_change` their own reweights must keep it themselves.
+    The step is fixed at the cheapest WTS edge when this is called and
+    exposed as `h.step`. Every later reweight must stay at or above it, or
+    the estimate overshoots and the incremental search can return wrong
+    costs or fail to extract a path. `GridScenario` guarantees this for its
+    revealed bumps; `LTLDStarPlanner.replan` rejects a change set that
+    breaks it with `ReweightBelowStepError`.
     """
     coords = pa.wts.coords
     if coords is None:
@@ -211,6 +212,7 @@ def make_grid_heuristic(pa):
         cb = coords[b // nq]
         return step * (abs(ca[0] - cb[0]) + abs(ca[1] - cb[1]))
 
+    h.step = step
     return h
 
 

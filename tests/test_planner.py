@@ -7,7 +7,8 @@ import pytest
 
 from tlreplan.baselines import dijkstra_oracle, loop_cost, solve_fresh
 from tlreplan.hoa import parse_nba
-from tlreplan.planner import (LTLDStarPlanner, NoAcceptingRun, Run, total_cost)
+from tlreplan.planner import (LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError, Run,
+                              total_cost)
 from tlreplan.product import PAEdgeChange, build_product, build_relaxed_product
 from tlreplan.world import (Belief, ChangeEvent, initial_belief, make_grid_heuristic,
                             random_map, sense, to_wts)
@@ -406,3 +407,30 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
                 assert rec.cost == exact
         seen["stale"] |= any(rec.stale for rec in planner.records)
     assert seen == {"stale": True, "lowered": True, "created": True}
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+@pytest.mark.parametrize("seed", [3, 8, 14])
+def test_reweight_below_heuristic_step_is_rejected(seq_nba, seed, relaxed):
+    """A reweight under the grid heuristic's step raises before the product is written.
+
+    The planner stays usable: a reweight down to the step itself is accepted
+    and gives the from-scratch optimum.
+    """
+    _rng, pa, _, _ = _lazy_case(seq_nba, seed, relaxed)
+    h = make_grid_heuristic(pa)
+    planner = LTLDStarPlanner(pa, beta=10, heuristic=h)
+    planner.plan_initial()
+    states = planner.run.states()
+    i, j = states[0] // pa.nq, states[1] // pa.nq
+    before = (copy.deepcopy(pa.succ), copy.deepcopy(pa.pred))
+    with pytest.raises(ReweightBelowStepError, match="below the heuristic's step"):
+        planner.replan(pa.map_wts_change(ChangeEvent("reweight", i, j, 1)))
+    assert (pa.succ, pa.pred) == before
+    # every edge down to the step: the cheapest admissible drop
+    mod = [ch for a, b, d in pa.wts.edges() if d not in (INF, h.step)
+           for ch in pa.map_wts_change(ChangeEvent("reweight", a, b, h.step))]
+    start = planner.current_state
+    run = planner.replan(mod)
+    fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
+    assert (run.prefix, run.suffix, run.total) == (fresh.prefix, fresh.suffix, fresh.total)
