@@ -21,7 +21,8 @@ behind a deleted edge is just marked reached, for `note_changed_edges`).
 When g(u) rises to INF_W, only predecessors whose rhs equals w + the old
 g(u), whose lookahead ran through u, are rescanned. Edge changes and goal
 edges keep full rescans (`update_vertex`). The start key is recomputed
-only when g or rhs of the start changes.
+only when g or rhs of the start changes. Every other key is built inline
+from the g and rhs just read, and the zero heuristic is never called.
 """
 
 from __future__ import annotations
@@ -131,8 +132,14 @@ class SearchInstance:
                 if cand < best:
                     best = cand
             rhs[u] = best
-        if g.get(u, INF_W) != rhs.get(u, INF_W):
-            heappush(self.U, (self.calculate_key(u), u))
+        else:
+            best = rhs.get(u, INF_W)
+        gu = g.get(u, INF_W)
+        if gu != best:
+            m = gu if gu <= best else best
+            h = self.h
+            shift = self.km if h is _zero_h else h(self.start, u) + self.km
+            heappush(self.U, ((m[0], m[1] + shift, m[0], m[1]), u))
 
     def compute_shortest_path(self):
         """Expand until the start is consistent and no queued key precedes it."""
@@ -144,6 +151,8 @@ class SearchInstance:
         log = self.pop_log
         start = self.start
         goal = self.goal
+        km = self.km
+        h = None if self.h is _zero_h else self.h  # keys as in calculate_key, inline
         gs = rs = start_key = None
         while U:
             g_start = g.get(start, INF_W)
@@ -154,16 +163,17 @@ class SearchInstance:
             if not (U[0][0] < start_key or g_start != r_start):
                 break
             k_old, u = heappop(U)
-            k_new = self.calculate_key(u)
+            gu = g.get(u, INF_W)
+            ru = rhs.get(u, INF_W)
+            m = gu if gu <= ru else ru
+            k_new = (m[0], m[1] + (km if h is None else h(start, u) + km), m[0], m[1])
             if k_old < k_new:
-                if g.get(u, INF_W) != rhs.get(u, INF_W):
+                if gu != ru:
                     heappush(U, (k_new, u))
                 continue
             if k_old > k_new:
                 # a fresher entry for u is already queued
                 continue
-            gu = g.get(u, INF_W)
-            ru = rhs.get(u, INF_W)
             if gu == ru:
                 continue  # stale entry of a now-consistent state
             self.expansions += 1
@@ -182,8 +192,11 @@ class SearchInstance:
                     cand = (rv + wv, rt + wt)
                     if p != goal and cand < rhs.get(p, INF_W):
                         rhs[p] = cand
-                        if g.get(p, INF_W) != cand:
-                            heappush(U, (self.calculate_key(p), p))
+                        gp = g.get(p, INF_W)
+                        if gp != cand:
+                            m = gp if gp <= cand else cand
+                            shift = km if h is None else h(start, p) + km
+                            heappush(U, ((m[0], m[1] + shift, m[0], m[1]), p))
             else:
                 # g(u) rose to infinity: rescan the states whose lookahead ran through u
                 g[u] = INF_W

@@ -11,10 +11,11 @@ the remainder is re-optimized globally.
 
 Loop searches are repaired lazily. A change set can only raise costs when
 every change rewrites an existing edge to a weight no lower than before.
-Such a set queues its edge updates in each affected loop search and marks
-that record stale, without searching. A stale record keeps its old cost
-on its edge to the overall goal. Costs have only risen since that cost was
-exact, so it is a lower bound. Before the main search, the loop of the
+Such a set adds the tails of its changed edges to each affected record's
+queued sources and marks that record stale, without searching; a stale
+record's sources are rescanned once, when it is repaired. A stale record
+keeps its old cost on its edge to the overall goal. Costs have only risen
+since that cost was exact, so it is a lower bound. Before the main search, the loop of the
 current run's accepting state is repaired. After it, while the extracted
 path closes through a stale accepting state, that loop is repaired, its
 goal edge raised, and the main search repeated.
@@ -84,6 +85,8 @@ class SuffixRecord:
     cost: tuple
     loop: list[int] | None = field(default=None)
     stale: bool = False  # changes queued, search not run; cost is a lower bound
+    pending: set[int] = field(default_factory=set)  # changed-edge tails, rescanned at repair
+    force: bool = False  # some pending edge was created: rescan unreached tails too
 
     def get_loop(self) -> list[int]:
         """Loop through the accepting state; extracted on demand."""
@@ -204,11 +207,14 @@ class LTLDStarPlanner(RunFollower):
 
         `mirrors` are (u, weight) pairs of changed edges into the accepting
         state, rewritten onto its imaginary goal; `sources` are the tails of
-        every changed edge.
+        every changed edge. They join the record's pending sources, which
+        `repair_loop` rescans once: until then g does not move and a rescan
+        reads the current weights, so one rescan equals one per change set.
         """
         for u, w in mirrors:
             rec.graph.set_extra(u, rec.img, w)
-        rec.instance.note_changed_edges(sources, force=force)
+        rec.pending |= sources
+        rec.force |= force
         rec.stale = True
         rec.loop = None
 
@@ -216,6 +222,9 @@ class LTLDStarPlanner(RunFollower):
         """Run a stale loop search to completion; True if its cost moved."""
         if not rec.stale:
             return False
+        rec.instance.note_changed_edges(rec.pending, force=rec.force)
+        rec.pending = set()
+        rec.force = False
         rec.instance.compute_shortest_path()
         rec.stale = False
         old = rec.cost
@@ -271,6 +280,8 @@ class LTLDStarPlanner(RunFollower):
         if lowers:
             # stale costs stop being lower bounds once a weight may drop
             repair = self.records
+        elif self.run is None:
+            repair = []  # no run yet (plan_initial found none); _solve_main decides
         else:
             repair = [self._rec_by_acc[self.run.accepting]]
         changed = [rec for rec in repair if self.repair_loop(rec)]

@@ -204,13 +204,14 @@ def make_grid_heuristic(pa):
     step = min((d for _, _, d in pa.wts.edges() if d != INF), default=0)
     nq = pa.nq
     n = pa.n_states
+    # step * row and step * col per product state: step >= 0, so it factors out of abs
+    rows = [step * coords[s // nq][0] for s in range(n)]
+    cols = [step * coords[s // nq][1] for s in range(n)]
 
     def h(a: int, b: int) -> int:
         if a >= n or b >= n:
             return 0
-        ca = coords[a // nq]
-        cb = coords[b // nq]
-        return step * (abs(ca[0] - cb[0]) + abs(ca[1] - cb[1]))
+        return abs(rows[a] - rows[b]) + abs(cols[a] - cols[b])
 
     h.step = step
     return h

@@ -4,14 +4,15 @@ import math
 import random
 
 import pytest
+from conftest import ASSETS
 
 from tlreplan.baselines import dijkstra_oracle, loop_cost, solve_fresh
-from tlreplan.hoa import parse_nba
+from tlreplan.hoa import parse_nba, parse_nba_file
 from tlreplan.planner import (LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError, Run,
                               total_cost)
 from tlreplan.product import PAEdgeChange, build_product, build_relaxed_product
-from tlreplan.world import (Belief, ChangeEvent, initial_belief, make_grid_heuristic,
-                            random_map, sense, to_wts)
+from tlreplan.world import (Belief, ChangeEvent, initial_belief, load_scenario,
+                            make_grid_heuristic, random_map, sense, to_wts)
 from tlreplan.wts import WTS
 
 INF = math.inf
@@ -407,6 +408,99 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
                 assert rec.cost == exact
         seen["stale"] |= any(rec.stale for rec in planner.records)
     assert seen == {"stale": True, "lowered": True, "created": True}
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+def test_deferred_rescans_accumulate_until_a_lowering_batch(relaxed):
+    """A stale loop search queues the tails of every raise-only batch that reaches it.
+
+    `eventually_a` on a shipped 10x10 map, every bump known: each cell in
+    state q1 is accepting, and each loop search is local. The loop at the
+    walled cell (4, 0) stays stale across three raise-only batches: the
+    edges at the cell, then edges its search never reached (a skip), then
+    edges one step out. A weight drop elsewhere, and later a created edge
+    through the wall, repair every record from its accumulated tails: each
+    loop cost is then exact, and every run equals a from-scratch solve.
+    """
+    nba = parse_nba_file(ASSETS / "eventually_a.hoa")
+    scn = load_scenario(ASSETS / "bench_map_a.json")
+    belief = initial_belief(scn)
+    belief.known_bumps |= scn.bumps
+    wts = to_wts(scn, belief, nba.universe)
+    belief.attach(wts)
+    pa = (build_relaxed_product if relaxed else build_product)(wts, nba)
+    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    planner.plan_initial()
+    cell = belief.cell_index
+    target, wall_nb = cell[4, 0], cell[5, 0]
+    rec = planner._rec_by_acc[target * pa.nq + 1]
+    assert rec.acc != planner.run.accepting
+
+    def replan(events):
+        mod = [ch for ev in events for ch in pa.map_wts_change(ev)]
+        start = planner.current_state
+        run = planner.replan(mod)
+        fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
+        assert (run.prefix, run.suffix, run.accepting, run.total) == \
+            (fresh.prefix, fresh.suffix, fresh.accepting, fresh.total)
+        return {ch.u for ch in mod}
+
+    def raised(edges):
+        return [ChangeEvent("reweight", i, j, wts.weight(i, j) + 40) for i, j in edges]
+
+    def raise_batches():
+        near = {j for j in wts.succ[target]}
+        at_target = [(i, target) for i in near] + [(target, j) for j in near]
+        tails = replan(raised(at_target))
+        assert rec.stale and tails <= rec.pending
+        reached = {s // pa.nq for s in rec.instance.rhs if s < pa.n_states}
+        far = next((i, j) for i, j, d in wts.edges() if i not in reached and d != INF)
+        tails = replan(raised([far]))
+        assert rec.stale and not tails <= rec.pending  # skipped
+        one_out = [(i, j) for i in near for j in wts.succ[i] if j != target]
+        tails = replan(raised(one_out))
+        assert rec.stale and tails <= rec.pending
+
+    def check_all_repaired():
+        for r in planner.records:
+            assert (r.stale, r.pending, r.force) == (False, set(), False)
+            assert r.cost == loop_cost(pa, r.acc)[0]
+
+    raise_batches()
+    bump = cell[1, 5]
+    replan([ChangeEvent("reweight", i, bump, scn.move_cost) for i in range(wts.n_states)
+            if wts.has_edge(i, bump)])
+    check_all_repaired()
+    raise_batches()
+    replan([ChangeEvent("add", target, wall_nb, scn.move_cost),
+            ChangeEvent("add", wall_nb, target, scn.move_cost)])
+    check_all_repaired()
+    assert rec.cost == (0, 2 * scn.move_cost)  # the new edge closes the cheapest loop
+
+
+def _unreachable_a():
+    """`eventually_a` over 0 <-> 1 and 2 -> 1: the one `a` state, 2, has no way in."""
+    nba = parse_nba_file(ASSETS / "eventually_a.hoa")
+    wts = WTS(nba.universe, 3, [0, 0, 1], [0], [{1: 10}, {0: 10}, {1: 10}])
+    pa = build_product(wts, nba)
+    planner = LTLDStarPlanner(pa, beta=10)
+    with pytest.raises(NoAcceptingRun):
+        planner.plan_initial()
+    return pa, planner
+
+
+def test_raise_only_replan_after_infeasible_initial_plan_raises_no_accepting_run():
+    pa, planner = _unreachable_a()
+    with pytest.raises(NoAcceptingRun):
+        planner.replan(pa.map_wts_change(ChangeEvent("delete", 0, 1)))
+
+
+def test_add_after_infeasible_initial_plan_finds_the_fresh_run():
+    pa, planner = _unreachable_a()
+    run = planner.replan(pa.map_wts_change(ChangeEvent("add", 1, 2, 10)))
+    fresh, _ = solve_fresh(copy.deepcopy(pa), pa.initial, 10)
+    assert (run.prefix, run.suffix, run.accepting, run.total) == \
+        (fresh.prefix, fresh.suffix, fresh.accepting, fresh.total)
 
 
 @pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
