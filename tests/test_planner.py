@@ -433,7 +433,7 @@ def test_deferred_rescans_accumulate_until_a_lowering_batch(relaxed):
     planner.plan_initial()
     cell = belief.cell_index
     target, wall_nb = cell[4, 0], cell[5, 0]
-    rec = planner._rec_by_acc[target * pa.nq + 1]
+    rec = planner._rec_by_acc[pa.sid(target, 1)]
     assert rec.acc != planner.run.accepting
 
     def replan(events):
@@ -449,7 +449,7 @@ def test_deferred_rescans_accumulate_until_a_lowering_batch(relaxed):
         return [ChangeEvent("reweight", i, j, wts.weight(i, j) + 40) for i, j in edges]
 
     def raise_batches():
-        near = {j for j in wts.succ[target]}
+        near = set(wts.succ[target])
         at_target = [(i, target) for i in near] + [(target, j) for j in near]
         tails = replan(raised(at_target))
         assert rec.stale and tails <= rec.pending
