@@ -177,7 +177,7 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
         if lk[1] != INF:
             loops_scaled[acc] = lasso_cost((0, 0), lk, beta)
     if not loops_scaled:
-        raise NoAcceptingRun("no accepting state has a finite loop")
+        raise NoAcceptingRun("no accepting state has a finite loop", pops)
     seeds = [(acc, w) for acc, w in loops_scaled.items()]
     total_d, p2 = lex_dijkstra(_bwd(pa), seeds, targets=sources)
     pops += p2
@@ -190,7 +190,7 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
             best_d = d
             best_src = s
     if best_d[1] == INF:
-        raise NoAcceptingRun("no accepting state is reachable with a finite loop")
+        raise NoAcceptingRun("no accepting state is reachable with a finite loop", pops)
 
     prefix = _descend(pa, total_d, best_src, loops_scaled)
     acc = prefix[-1]
@@ -251,8 +251,8 @@ def _loop_path(pa, acc) -> tuple[list[int], int]:
     return path + [acc], pops
 
 
-class IterativeReplanner(RunFollower):
-    """Re-solves everything from scratch with Dijkstra on every change set."""
+class _FreshSolveReplanner(RunFollower):
+    """What both baselines share: fresh solves whose pops are counted, failed or not."""
 
     def __init__(self, pa, beta: int = 10, heuristic=None):
         super().__init__()
@@ -265,26 +265,31 @@ class IterativeReplanner(RunFollower):
         ini = self.pa.initial
         return ini[0] if len(ini) == 1 else -1
 
-    def _sources(self):
-        if self.run is None:
-            return list(self.pa.initial)
-        return [self.current_state]
-
     def plan_initial(self) -> Run:
-        run, pops = solve_fresh(self.pa, self._sources(), self.beta)
-        self.last_expansions = pops
+        self.last_expansions = 0
+        return self._solve(list(self.pa.initial))
+
+    def _solve(self, sources) -> Run:
+        try:
+            run, pops = solve_fresh(self.pa, sources, self.beta)
+        except NoAcceptingRun as exc:
+            self.last_expansions += exc.pops
+            raise
+        self.last_expansions += pops
         self._set_run(run)
         return run
+
+
+class IterativeReplanner(_FreshSolveReplanner):
+    """Re-solves everything from scratch with Dijkstra on every change set."""
 
     def replan(self, mod) -> Run:
         self.pa.apply_changes(mod)
-        run, pops = solve_fresh(self.pa, self._sources(), self.beta)
-        self.last_expansions = pops
-        self._set_run(run)
-        return run
+        self.last_expansions = 0
+        return self._solve(list(self.pa.initial) if self.run is None else [self.current_state])
 
 
-class LocalRevisionReplanner(RunFollower):
+class LocalRevisionReplanner(_FreshSolveReplanner):
     """Detours back onto the previous run instead of re-optimizing globally.
 
     On a change set, finds the cheapest path from the current state that
@@ -294,22 +299,8 @@ class LocalRevisionReplanner(RunFollower):
     """
 
     def __init__(self, pa, beta: int = 10, heuristic=None):
-        super().__init__()
-        check_beta(beta)
-        self.pa = pa
-        self.beta = beta
-        self.last_expansions = 0
+        super().__init__(pa, beta, heuristic)
         self.fallbacks = 0
-
-    def _start_state(self) -> int:
-        ini = self.pa.initial
-        return ini[0] if len(ini) == 1 else -1
-
-    def plan_initial(self) -> Run:
-        run, pops = solve_fresh(self.pa, list(self.pa.initial), self.beta)
-        self.last_expansions = pops
-        self._set_run(run)
-        return run
 
     def replan(self, mod) -> Run:
         self.pa.apply_changes(mod)
@@ -317,8 +308,7 @@ class LocalRevisionReplanner(RunFollower):
         run = self._try_revision()
         if run is None:
             self.fallbacks += 1
-            run, pops = solve_fresh(self.pa, [self.current_state], self.beta)
-            self.last_expansions += pops
+            return self._solve([self.current_state])
         self._set_run(run)
         return run
 

@@ -3,11 +3,17 @@
 One incremental search per accepting state finds its cheapest loop by
 mirroring the accepting state's incoming edges onto an imaginary goal; a
 main incremental search then reaches an overall imaginary goal whose
-incoming edges carry the loop costs scaled by the suffix weighting. The
-main search keeps its tree (shifting the key drift accumulator) while the
-agent is still on the prefix, and restarts from the current state once the
-agent is inside the loop, so the traversed part stays behind as history and
-the remainder is re-optimized globally.
+incoming edges carry the loop costs scaled by the suffix weighting.
+
+On the prefix or inside the loop, the problem from the current state is
+the same, so one rule serves both phases. A change set that moves no loop
+cost repairs the main search in place: its start moves to the current
+state (shifting the key drift accumulator) and the changed edges' tails
+are rescanned. A moved loop cost rewrites an edge next to the goal that
+nearly every path runs through, and an in-place repair would expand most
+of the tree twice, so the main search is built afresh from the current
+state, as `plan_initial` builds it. Either search ends with exact costs
+along the extracted path, so runs are the same either way.
 
 Loop searches are repaired lazily. A change set can only raise costs when
 every change rewrites an existing edge to a weight no lower than before.
@@ -15,10 +21,10 @@ Such a set adds the tails of its changed edges to each affected record's
 queued sources and marks that record stale, without searching; a stale
 record's sources are rescanned once, when it is repaired. A stale record
 keeps its old cost on its edge to the overall goal. Costs have only risen
-since that cost was exact, so it is a lower bound. Before the main search, the loop of the
-current run's accepting state is repaired. After it, while the extracted
-path closes through a stale accepting state, that loop is repaired, its
-goal edge raised, and the main search repeated.
+since that cost was exact, so it is a lower bound. Before the main search,
+the loop of the current run's accepting state is repaired. After it, while
+the extracted path closes through a stale accepting state, that loop is
+repaired and, if its cost moved, the main search is built afresh.
 
 Runs stay identical to a search over exact loop costs. The final path
 closes through an exact loop, so its total is exact, and since every other
@@ -42,7 +48,12 @@ SUFFIX = "suffix"
 
 
 class NoAcceptingRun(Exception):
-    """No accepting state has both a reachable prefix and a finite loop."""
+    """No accepting state has both a reachable prefix and a finite loop;
+    `pops` is the work the failed solve spent."""
+
+    def __init__(self, message: str = "", pops: int = 0):
+        super().__init__(message)
+        self.pops = pops
 
 
 class ReweightBelowStepError(ValueError):
@@ -159,7 +170,6 @@ class LTLDStarPlanner(RunFollower):
         self.records: list[SuffixRecord] = []
         self._rec_by_acc: dict[int, SuffixRecord] = {}
         self.main: SearchInstance | None = None
-        self.main_graph: OverlayGraph | None = None
         self._counter = [0]
         self.last_expansions = 0
 
@@ -238,10 +248,7 @@ class LTLDStarPlanner(RunFollower):
         before = self._expansion_total()
         self.records = [self.suffix_initialize(k) for k in range(len(pa.accepting))]
         self._rec_by_acc = {rec.acc: rec for rec in self.records}
-        start = self._start_state()
-        self.main_graph = self._build_main_graph(start)
-        self.main = SearchInstance(self.main_graph, start=start, goal=self.global_img,
-                                   heuristic=self._h, counter=self._counter)
+        self._build_main(self._start_state())
         path = self._solve_main()
         self.last_expansions = self._expansion_total() - before
         return self._extract_run(path)
@@ -284,40 +291,30 @@ class LTLDStarPlanner(RunFollower):
             repair = []  # no run yet (plan_initial found none); _solve_main decides
         else:
             repair = [self._rec_by_acc[self.run.accepting]]
-        changed = [rec for rec in repair if self.repair_loop(rec)]
-        current = self.current_state
-        if self.phase == PREFIX:
-            for rec in changed:
-                self._update_goal_edge(rec)
-            self.main.move_start(current)
-            self.main.note_changed_edges(sources, force=not skip_ok)
+        moved = [self.repair_loop(rec) for rec in repair]  # every one, no short-circuit
+        if any(moved):
+            self._build_main(self.current_state)
         else:
-            self.main_graph = self._build_main_graph(current)
-            self.main = SearchInstance(self.main_graph, start=current, goal=self.global_img,
-                                       heuristic=self._h, counter=self._counter)
+            self.main.move_start(self.current_state)
+            self.main.note_changed_edges(sources, force=not skip_ok)
         path = self._solve_main()
         self.last_expansions = self._expansion_total() - before
         return self._extract_run(path)
 
     def _solve_main(self) -> list[int] | None:
         """Main search until its path closes through a fresh loop; None if none exists."""
-        main = self.main
         while True:
+            main = self.main
             main.compute_shortest_path()
             if main.cost_from()[1] == INF:
                 return None
             path = main.extract_path()
-            rec = self._rec_by_acc[path[-2]]
-            if not self.repair_loop(rec):
+            if not self.repair_loop(self._rec_by_acc[path[-2]]):
                 return path
-            self._update_goal_edge(rec)
+            self._build_main(main.start)
 
-    def _update_goal_edge(self, rec: SuffixRecord):
-        goal_w = lasso_cost((0, 0), rec.cost, self.beta)
-        self.main_graph.set_extra(rec.acc, self.global_img, goal_w)
-        self.main.update_vertex(rec.acc)
-
-    def _build_main_graph(self, start: int) -> OverlayGraph:
+    def _build_main(self, start: int):
+        """A fresh main search from `start` over the records' present loop costs."""
         graph = OverlayGraph(self.pa)
         graph.add_virtual(self.global_img)
         beta = self.beta
@@ -327,7 +324,8 @@ class LTLDStarPlanner(RunFollower):
             graph.add_virtual(self.synth_start)
             for s0 in self.pa.initial:
                 graph.set_extra(self.synth_start, s0, (0, 0))
-        return graph
+        self.main = SearchInstance(graph, start=start, goal=self.global_img,
+                                   heuristic=self._h, counter=self._counter)
 
     def _extract_run(self, path: list[int] | None) -> Run:
         if path is None:

@@ -255,9 +255,9 @@ def replay_iterative(scenario: GridScenario, nba, recorded, beta: int = 10,
             run, pops = solve_fresh(pa, [ev.state], beta)
             dt = time.perf_counter_ns() - t0
             report.events.append(EventRow(i, ev.phase, len(ev.mod), dt, pops, *run.total))
-        except NoAcceptingRun:
+        except NoAcceptingRun as exc:
             dt = time.perf_counter_ns() - t0
-            report.events.append(EventRow(i, ev.phase, len(ev.mod), dt, 0, INF, INF))
+            report.events.append(EventRow(i, ev.phase, len(ev.mod), dt, exc.pops, INF, INF))
             report.infeasible = True
             return report
     report.completed = True

@@ -303,3 +303,27 @@ def test_nonpositive_beta_rejected(make):
     pa = TinyPA(2, [(0, 1, (0, 10)), (1, 1, (0, 7))], accepting=[1], initial=[0])
     with pytest.raises(ValueError, match="beta must be a positive integer, got 0"):
         make(pa)
+
+
+@pytest.mark.parametrize("cls", [IterativeReplanner, LocalRevisionReplanner],
+                         ids=["iterative", "local-revision"])
+def test_failed_fresh_solve_reports_its_own_pops(cls):
+    # prefix 0-1-2 into the loop 2 <-> 3, with a dead end 1 <-> 4; blocking
+    # 1->2 while the agent is at 1 leaves no accepting run
+    from test_planner import TinyPA
+    from tlreplan.product import PAEdgeChange
+    pa = TinyPA(5, [(0, 1, (0, 10)), (1, 2, (0, 10)), (2, 3, (0, 10)), (3, 2, (0, 10)),
+                    (1, 4, (0, 10)), (4, 1, (0, 10))], accepting=[2], initial=[0])
+    planner = cls(pa, beta=10)
+    planner.plan_initial()
+    planner.advance()
+    with pytest.raises(NoAcceptingRun):
+        planner.replan([PAEdgeChange(1, 2, (INF, INF))])
+    with pytest.raises(NoAcceptingRun) as failed:
+        solve_fresh(pa, [1], 10)
+    assert failed.value.pops > 0
+    revision = 0
+    if cls is LocalRevisionReplanner:
+        assert planner.fallbacks == 1
+        revision = lex_dijkstra(lambda u: pa.succ[u].items(), [1], targets={2})[1]
+    assert planner.last_expansions == revision + failed.value.pops

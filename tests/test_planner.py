@@ -8,8 +8,8 @@ from conftest import ASSETS
 
 from tlreplan.baselines import dijkstra_oracle, loop_cost, solve_fresh
 from tlreplan.hoa import parse_nba, parse_nba_file
-from tlreplan.planner import (LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError, Run,
-                              total_cost)
+from tlreplan.planner import (PREFIX, SUFFIX, LTLDStarPlanner, NoAcceptingRun,
+                              ReweightBelowStepError, Run, total_cost)
 from tlreplan.product import PAEdgeChange, build_product, build_relaxed_product
 from tlreplan.world import (Belief, ChangeEvent, initial_belief, load_scenario,
                             make_grid_heuristic, random_map, sense, to_wts)
@@ -346,15 +346,17 @@ def _lazy_case(seq_nba, seed, relaxed):
 def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
     """Raises leave loops stale; a later weight drop and a created edge repair them all.
 
-    After every replan the run equals a from-scratch solve, the chosen
-    loop is fresh, fresh loop costs are exact and stale ones lower bounds.
+    The last three batches come after the robot walked into the loop, so
+    the suffix phase is covered too. After every replan the run equals a
+    from-scratch solve, the chosen loop is fresh, fresh loop costs are
+    exact and stale ones lower bounds.
     """
     rng, pa, wall_i, wall_j = _lazy_case(seq_nba, seed, relaxed)
     wts = pa.wts
     travel = {(i, j): d for i, j, d in wts.edges()}
     planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
     planner.plan_initial()
-    seen = {"stale": False, "lowered": False, "created": False}
+    seen = {"stale": False, "lowered": False, "created": False, "suffix": False}
 
     def raise_batch():
         on_run = {s // pa.nq for s in planner.run.states()}
@@ -381,10 +383,15 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
         return [ChangeEvent("add", wall_i, wall_j, 10), ChangeEvent("add", wall_j, wall_i, 10)]
 
     script = [raise_batch] * 5 + [lower_batch] + [raise_batch] * 2 + [add_batch, raise_batch]
-    for make_batch in script:
+    script = [(batch, False) for batch in script] + \
+        [(raise_batch, True), (lower_batch, True), (raise_batch, True)]
+    for make_batch, into_loop in script:
         for _ in range(rng.randint(0, 3)):
             planner.advance()
-        if make_batch is lower_batch:
+        while into_loop and planner.phase != SUFFIX:
+            planner.advance()
+        seen["suffix"] |= planner.phase == SUFFIX
+        if make_batch is lower_batch and not into_loop:
             seen["lowered"] = any(rec.stale for rec in planner.records)
         mod = [ch for ev in make_batch() for ch in pa.map_wts_change(ev)]
         if make_batch is add_batch:
@@ -407,7 +414,7 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
             else:
                 assert rec.cost == exact
         seen["stale"] |= any(rec.stale for rec in planner.records)
-    assert seen == {"stale": True, "lowered": True, "created": True}
+    assert seen == {"stale": True, "lowered": True, "created": True, "suffix": True}
 
 
 @pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
@@ -528,3 +535,61 @@ def test_reweight_below_heuristic_step_is_rejected(seq_nba, seed, relaxed):
     run = planner.replan(mod)
     fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
     assert (run.prefix, run.suffix, run.total) == (fresh.prefix, fresh.suffix, fresh.total)
+
+
+def _ring_planner(seq_nba, relaxed, phase):
+    """`ring_unique`, planned and walked one step into `phase`."""
+    scn = load_scenario(ASSETS / "ring_unique.json")
+    belief = initial_belief(scn)
+    wts = to_wts(scn, belief, seq_nba.universe)
+    belief.attach(wts)
+    pa = (build_relaxed_product if relaxed else build_product)(wts, seq_nba)
+    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    run = planner.plan_initial()
+    for _ in range(1 if phase == PREFIX else len(run.prefix)):
+        planner.advance()
+    assert planner.phase == phase
+    return pa, planner
+
+
+def _raise_and_check(planner, edges):
+    """Raise each WTS edge by 40; the new run equals a from-scratch solve."""
+    pa = planner.pa
+    wts = pa.wts
+    mod = [ch for i, j in edges
+           for ch in pa.map_wts_change(ChangeEvent("reweight", i, j, wts.weight(i, j) + 40))]
+    start = planner.current_state
+    run = planner.replan(mod)
+    fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
+    assert (run.prefix, run.suffix, run.accepting, run.total) == \
+        (fresh.prefix, fresh.suffix, fresh.accepting, fresh.total)
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+@pytest.mark.parametrize("phase", [PREFIX, SUFFIX])
+def test_change_that_moves_no_loop_cost_repairs_the_main_search(seq_nba, phase, relaxed):
+    """An edge off the run rises: the main search keeps its tree and shifts its start."""
+    pa, planner = _ring_planner(seq_nba, relaxed, phase)
+    states = planner.run.states()
+    on_run = {(s // pa.nq, t // pa.nq) for s, t in zip(states, states[1:])}
+    off_run = next((i, j) for i, j, d in pa.wts.edges() if d != INF and (i, j) not in on_run)
+    main, km = planner.main, planner.main.km
+    costs = [rec.cost for rec in planner.records]
+    _raise_and_check(planner, [off_run])
+    assert [rec.cost for rec in planner.records] == costs
+    assert planner.main is main
+    assert planner.main.km > km
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+@pytest.mark.parametrize("phase", [PREFIX, SUFFIX])
+def test_change_that_raises_the_run_loop_restarts_the_main_search(seq_nba, phase, relaxed):
+    """Every edge into the accepting cell rises: the main search is built afresh."""
+    pa, planner = _ring_planner(seq_nba, relaxed, phase)
+    rec = planner._rec_by_acc[planner.run.accepting]
+    cost, main = rec.cost, planner.main
+    acc_cell = rec.acc // pa.nq
+    _raise_and_check(planner, [(i, acc_cell) for i in range(pa.wts.n_states)
+                               if pa.wts.has_edge(i, acc_cell)])
+    assert rec.cost > cost
+    assert planner.main is not main
