@@ -5,9 +5,8 @@ from .hoa import (NBA, GuardTooLargeError, HoaParseError, UnsupportedHoaError, p
 from .labels import APUniverse, APUniverseError, Label, rho, xi, zeta
 from .planner import (LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError, Run,
                       total_cost)
-from .product import (ProductAutomaton, build_product, build_relaxed_product,
-                      dist)
-from .simulate import TraceReport, replay_iterative, simulate
+from .product import ProductAutomaton, build_product, build_relaxed_product
+from .simulate import TraceReport, simulate
 from .world import GridScenario, load_scenario, random_map, sense, to_wts
 from .wts import WTS, load_wts
 
@@ -16,7 +15,7 @@ __all__ = [
     "HoaParseError", "Label", "LTLDStarPlanner", "NBA", "NoAcceptingRun",
     "ProductAutomaton", "ReweightBelowStepError", "Run", "TraceReport",
     "UnsupportedHoaError", "WTS",
-    "build_product", "build_relaxed_product", "dist", "load_scenario", "load_wts",
-    "parse_nba", "parse_nba_file", "random_map", "replay_iterative", "rho",
+    "build_product", "build_relaxed_product", "load_scenario", "load_wts",
+    "parse_nba", "parse_nba_file", "random_map", "rho",
     "sense", "simulate", "to_wts", "total_cost", "xi", "zeta",
 ]

@@ -23,6 +23,12 @@ g(u), whose lookahead ran through u, are rescanned. Edge changes and goal
 edges keep full rescans (`update_vertex`). The start key is recomputed
 only when g or rhs of the start changes. Every other key is built inline
 from the g and rhs just read, and the zero heuristic is never called.
+
+`compute_shortest_path(budget)` stops before its budget's next expansion
+and returns False. The popped entry goes back on the queue, so the search
+stays valid and a later call resumes it. Without a budget the limit is
+-1, which no expansion count equals, so the hot loop pays one integer
+comparison per expansion either way.
 """
 
 from __future__ import annotations
@@ -141,8 +147,13 @@ class SearchInstance:
             shift = self.km if h is _zero_h else h(self.start, u) + self.km
             heappush(self.U, ((m[0], m[1] + shift, m[0], m[1]), u))
 
-    def compute_shortest_path(self):
-        """Expand until the start is consistent and no queued key precedes it."""
+    def compute_shortest_path(self, budget: int | None = None) -> bool:
+        """Expand until the start is consistent and no queued key precedes it.
+
+        With a budget, stop once `budget` states were expanded and more
+        are due; returns False if it stopped there, True if it finished.
+        """
+        limit = -1 if budget is None else self.expansions + budget
         U = self.U
         g = self.g
         rhs = self.rhs
@@ -176,7 +187,11 @@ class SearchInstance:
                 continue
             if gu == ru:
                 continue  # stale entry of a now-consistent state
-            self.expansions += 1
+            n = self.expansions
+            if n == limit:
+                heappush(U, (k_old, u))
+                return False
+            self.expansions = n + 1
             if self.counter is not None:
                 self.counter[0] += 1
             if log is not None:
@@ -205,6 +220,7 @@ class SearchInstance:
                     if wt != INF and p != goal and rhs.get(p) == (gv + wv, gt + wt):
                         update(p)
                 update(u)
+        return True
 
     # -- change application -----------------------------------------------------
 

@@ -86,9 +86,6 @@ class ProductAutomaton:
     def sid(self, pi: int, q: int) -> int:
         return pi * self.nq + q
 
-    def unpack(self, s: int) -> tuple[int, int]:
-        return divmod(s, self.nq)
-
     @property
     def n_edges(self) -> int:
         return sum(len(out) for out in self.succ)
@@ -163,11 +160,3 @@ def build_product(wts: WTS, nba: NBA) -> ProductAutomaton:
 def build_relaxed_product(wts: WTS, nba: NBA) -> ProductAutomaton:
     return ProductAutomaton(wts, nba, RELAXED)
 
-
-def dist(pa: ProductAutomaton, s_m: int, s_n: int) -> int:
-    """Violation of the product transition s_m -> s_n (0 when it is legal)."""
-    pi, qm = pa.unpack(s_m)
-    pj, qn = pa.unpack(s_n)
-    if not pa.wts.has_edge(pi, pj):
-        raise ValueError(f"no workspace edge {pi}->{pj}")
-    return dist_bits(pa.nba, qm, qn, pa.wts.labels[pj])

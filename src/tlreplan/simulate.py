@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .baselines import IterativeReplanner, LocalRevisionReplanner, solve_fresh
+from .baselines import IterativeReplanner, LocalRevisionReplanner
 from .planner import LTLDStarPlanner, NoAcceptingRun
 from .product import PLAIN, RELAXED, build_product, build_relaxed_product
 from .weights import INF
@@ -229,36 +229,3 @@ def simulate(scenario: GridScenario, nba, beta: int = 10, mode: str = PLAIN,
     report.fallbacks = getattr(planner, "fallbacks", 0)
     return report
 
-
-def replay_iterative(scenario: GridScenario, nba, recorded, beta: int = 10,
-                     mode: str = PLAIN) -> TraceReport:
-    """Feed a recorded event stream to from-scratch Dijkstra replanning.
-
-    Gives the baseline the identical change sets and robot states that the
-    incremental planner saw, so per-event totals and timings compare
-    one-to-one.
-    """
-    build_mode = RELAXED if mode in (RELAXED, "auto") else PLAIN
-    _belief, pa = build_world(scenario, nba, build_mode)
-    report = TraceReport(algo=ALGO_ITERATIVE, mode=mode, beta=beta,
-                         width=scenario.width, height=scenario.height,
-                         loops_requested=0)
-    t0 = time.perf_counter_ns()
-    run, pops = solve_fresh(pa, list(pa.initial), beta)
-    report.initial_ns = time.perf_counter_ns() - t0
-    report.initial_expansions = pops
-    report.initial_violation, report.initial_travel = run.total
-    for i, ev in enumerate(recorded):
-        t0 = time.perf_counter_ns()
-        pa.apply_changes(ev.mod)
-        try:
-            run, pops = solve_fresh(pa, [ev.state], beta)
-            dt = time.perf_counter_ns() - t0
-            report.events.append(EventRow(i, ev.phase, len(ev.mod), dt, pops, *run.total))
-        except NoAcceptingRun as exc:
-            dt = time.perf_counter_ns() - t0
-            report.events.append(EventRow(i, ev.phase, len(ev.mod), dt, exc.pops, INF, INF))
-            report.infeasible = True
-            return report
-    report.completed = True
-    return report

@@ -1,12 +1,18 @@
 import random
+import time
 from heapq import heappop, heappush
 from pathlib import Path
 
 import pytest
 
+from tlreplan.baselines import solve_fresh
 from tlreplan.dstar import SearchInstance
 from tlreplan.hoa import parse_nba_file
+from tlreplan.planner import NoAcceptingRun
+from tlreplan.product import PLAIN, RELAXED, ProductAutomaton, dist_bits
+from tlreplan.simulate import ALGO_ITERATIVE, EventRow, TraceReport, build_world
 from tlreplan.weights import INF, INF_W
+from tlreplan.world import GridScenario
 
 ASSETS = Path(__file__).resolve().parent.parent / "src" / "tlreplan" / "assets"
 
@@ -188,3 +194,51 @@ def reverse_dijkstra_cost(graph, goal):
     from tlreplan.baselines import lex_dijkstra
     dist, _ = lex_dijkstra(lambda u: graph.pred_items(u), [goal])
     return dist
+
+
+def unpack(pa: ProductAutomaton, s: int) -> tuple[int, int]:
+    """(workspace state, automaton state) of product state s."""
+    return divmod(s, pa.nq)
+
+
+def dist(pa: ProductAutomaton, s_m: int, s_n: int) -> int:
+    """Violation of the product transition s_m -> s_n (0 when it is legal)."""
+    pi, qm = unpack(pa, s_m)
+    pj, qn = unpack(pa, s_n)
+    if not pa.wts.has_edge(pi, pj):
+        raise ValueError(f"no workspace edge {pi}->{pj}")
+    return dist_bits(pa.nba, qm, qn, pa.wts.labels[pj])
+
+
+def replay_iterative(scenario: GridScenario, nba, recorded, beta: int = 10,
+                     mode: str = PLAIN) -> TraceReport:
+    """Feed a recorded event stream to from-scratch Dijkstra replanning.
+
+    Gives the baseline the identical change sets and robot states that the
+    incremental planner saw, so per-event totals and timings compare
+    one-to-one.
+    """
+    build_mode = RELAXED if mode in (RELAXED, "auto") else PLAIN
+    _belief, pa = build_world(scenario, nba, build_mode)
+    report = TraceReport(algo=ALGO_ITERATIVE, mode=mode, beta=beta,
+                         width=scenario.width, height=scenario.height,
+                         loops_requested=0)
+    t0 = time.perf_counter_ns()
+    run, pops = solve_fresh(pa, list(pa.initial), beta)
+    report.initial_ns = time.perf_counter_ns() - t0
+    report.initial_expansions = pops
+    report.initial_violation, report.initial_travel = run.total
+    for i, ev in enumerate(recorded):
+        t0 = time.perf_counter_ns()
+        pa.apply_changes(ev.mod)
+        try:
+            run, pops = solve_fresh(pa, [ev.state], beta)
+            dt = time.perf_counter_ns() - t0
+            report.events.append(EventRow(i, ev.phase, len(ev.mod), dt, pops, *run.total))
+        except NoAcceptingRun as exc:
+            dt = time.perf_counter_ns() - t0
+            report.events.append(EventRow(i, ev.phase, len(ev.mod), dt, exc.pops, INF, INF))
+            report.infeasible = True
+            return report
+    report.completed = True
+    return report

@@ -12,14 +12,14 @@ import statistics
 import pytest
 
 from conftest import (ASSETS, apply_edge_changes, chi_bits, random_weighted_graph,
-                      reverse_dijkstra_cost)
+                      replay_iterative, reverse_dijkstra_cost)
 from tlreplan.baselines import dijkstra_oracle
 from tlreplan.dstar import SearchInstance
 from tlreplan.hoa import parse_nba, parse_nba_file
 from tlreplan.labels import APUniverse, Label, rho, zeta
 from tlreplan.planner import LTLDStarPlanner
 from tlreplan.product import build_product, build_relaxed_product, dist_bits
-from tlreplan.simulate import replay_iterative, simulate
+from tlreplan.simulate import simulate
 from tlreplan.weights import INF_W
 from tlreplan.world import (Belief, GridScenario, initial_belief,
                             load_scenario, make_grid_heuristic, random_map,

@@ -271,6 +271,18 @@ def _random_batch(rng, g):
     return batch
 
 
+def _mixed_case(seed):
+    """A random 40-state graph, a quarter of its edges deleted, and a consistent heuristic."""
+    rng = random.Random(5000 + seed)
+    n = 40
+    g = random_weighted_graph(rng, n=n, avg_degree=3.0, max_violation=2 if seed % 2 else 0)
+    for u, v, _w in rng.sample(list(g.edges()), n // 4):
+        g.add_edge(u, v, INF_W)  # deleted before the first search, restored by later drops
+    x = [rng.randrange(10) for _ in range(n)]
+    h = lambda a, b: abs(x[a] - x[b])  # every travel is >= 10, so h is consistent
+    return rng, g, h
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_tightening_expansion_matches_rescan_reference(seed):
     """The O(1) expansion step keeps the lookahead invariant and the textbook pop order.
@@ -282,13 +294,8 @@ def test_tightening_expansion_matches_rescan_reference(seed):
     reverse Dijkstra, and pops, g and rhs equal those of the reference that
     rescans every predecessor.
     """
-    rng = random.Random(5000 + seed)
-    n = 40
-    g = random_weighted_graph(rng, n=n, avg_degree=3.0, max_violation=2 if seed % 2 else 0)
-    for u, v, _w in rng.sample(list(g.edges()), n // 4):
-        g.add_edge(u, v, INF_W)  # deleted before the first search, restored by later drops
-    x = [rng.randrange(10) for _ in range(n)]
-    h = lambda a, b: abs(x[a] - x[b])  # every travel is >= 10, so h is consistent
+    rng, g, h = _mixed_case(seed)
+    n = g.n
     inst = SearchInstance(g, start=0, goal=n - 1, heuristic=h, log_pops=True)
     ref = RescanSearchInstance(copy.deepcopy(g), start=0, goal=n - 1, heuristic=h,
                                log_pops=True)
@@ -308,6 +315,40 @@ def test_tightening_expansion_matches_rescan_reference(seed):
         batch = _random_batch(rng, g)
         apply_edge_changes(inst, batch)
         apply_edge_changes(ref, batch)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_budget_stops_after_exactly_that_many_expansions(seed):
+    """A budgeted search stops after `budget` expansions; one it does not reach is unchanged.
+
+    On the mixed change batches and start moves of the tightening test, each
+    search runs three ways from copies of one state: unbudgeted, with a budget
+    below its expansions, and with a budget at or above them. The first and
+    last return True with the same pops, g and rhs. The cut one returns
+    False after exactly `budget` pops of the same log, and a later call
+    without a budget finishes it to the same pops, g and rhs.
+    """
+    rng, g, h = _mixed_case(seed)
+    n = g.n
+    inst = SearchInstance(g, start=0, goal=n - 1, heuristic=h, log_pops=True)
+    for step in range(8):
+        full = copy.deepcopy(inst)
+        assert full.compute_shortest_path() is True
+        need = full.expansions - inst.expansions
+        done = len(inst.pop_log)
+        if need > 1:
+            budget = rng.randint(1, need - 1)
+            cut = copy.deepcopy(inst)
+            assert cut.compute_shortest_path(budget=budget) is False, f"seed {seed} step {step}"
+            assert cut.expansions - inst.expansions == budget
+            assert cut.pop_log == full.pop_log[:done + budget]
+            assert cut.compute_shortest_path() is True
+            assert (cut.pop_log, cut.g, cut.rhs) == (full.pop_log, full.g, full.rhs)
+        assert inst.compute_shortest_path(budget=need + rng.randint(0, 3)) is True
+        assert (inst.pop_log, inst.g, inst.rhs) == (full.pop_log, full.g, full.rhs)
+        if rng.random() < 0.5 and inst.cost_from()[1] != INF and inst.start != n - 1:
+            inst.move_start(inst.extract_path()[1])
+        apply_edge_changes(inst, _random_batch(rng, g))
 
 
 def test_restored_edge_reaches_a_state_behind_it():

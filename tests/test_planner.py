@@ -8,7 +8,7 @@ from conftest import ASSETS
 
 from tlreplan.baselines import dijkstra_oracle, loop_cost, solve_fresh
 from tlreplan.hoa import parse_nba, parse_nba_file
-from tlreplan.planner import (PREFIX, SUFFIX, LTLDStarPlanner, NoAcceptingRun,
+from tlreplan.planner import (PREFIX, REPAIR_SHARE, SUFFIX, LTLDStarPlanner, NoAcceptingRun,
                               ReweightBelowStepError, Run, total_cost)
 from tlreplan.product import PAEdgeChange, build_product, build_relaxed_product
 from tlreplan.world import (Belief, ChangeEvent, initial_belief, load_scenario,
@@ -349,14 +349,16 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
     The last three batches come after the robot walked into the loop, so
     the suffix phase is covered too. After every replan the run equals a
     from-scratch solve, the chosen loop is fresh, fresh loop costs are
-    exact and stale ones lower bounds.
+    exact and stale ones lower bounds. At least one repair passes its
+    budget and is solved again from scratch.
     """
     rng, pa, wall_i, wall_j = _lazy_case(seq_nba, seed, relaxed)
     wts = pa.wts
     travel = {(i, j): d for i, j, d in wts.edges()}
     planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
     planner.plan_initial()
-    seen = {"stale": False, "lowered": False, "created": False, "suffix": False}
+    seen = {"stale": False, "lowered": False, "created": False, "suffix": False,
+            "abandoned": False}
 
     def raise_batch():
         on_run = {s // pa.nq for s in planner.run.states()}
@@ -397,6 +399,7 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
         if make_batch is add_batch:
             seen["created"] = any(ch.v not in pa.succ[ch.u] for ch in mod)
         start = planner.current_state
+        searches = [rec.instance for rec in planner.records]
         try:
             run = planner.replan(mod)
         except NoAcceptingRun:
@@ -414,7 +417,11 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
             else:
                 assert rec.cost == exact
         seen["stale"] |= any(rec.stale for rec in planner.records)
-    assert seen == {"stale": True, "lowered": True, "created": True, "suffix": True}
+        # a repair past its budget leaves the record with a new search
+        seen["abandoned"] |= any(rec.instance is not old
+                                 for rec, old in zip(planner.records, searches))
+    assert seen == {"stale": True, "lowered": True, "created": True, "suffix": True,
+                    "abandoned": True}
 
 
 @pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
@@ -593,3 +600,37 @@ def test_change_that_raises_the_run_loop_restarts_the_main_search(seq_nba, phase
                                if pa.wts.has_edge(i, acc_cell)])
     assert rec.cost > cost
     assert planner.main is not main
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+def test_blocked_run_loop_is_solved_again_from_scratch(seq_nba, relaxed):
+    """The run's loop loses its last edge into the accepting cell, which passes the budget.
+
+    The half-repaired search is dropped and the record holds a new one that
+    equals a from-scratch solve on the present product. Its cost is exact,
+    the run equals `solve_fresh`, and the record's loop expansions in that
+    replan are at most the budget plus the new solve.
+    """
+    scn = load_scenario(ASSETS / "bench_map_b.json")
+    belief = initial_belief(scn)
+    wts = to_wts(scn, belief, seq_nba.universe)
+    belief.attach(wts)
+    pa = (build_relaxed_product if relaxed else build_product)(wts, seq_nba)
+    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    run = planner.plan_initial()
+    rec = planner._rec_by_acc[run.accepting]
+    old, spent = rec.instance, rec.instance.expansions
+    budget = max(1, rec.fresh // REPAIR_SHARE)
+    last = rec.get_loop()[-2] // pa.nq
+    mod = pa.map_wts_change(ChangeEvent("delete", last, rec.acc // pa.nq))
+    start = planner.current_state
+    run = planner.replan(mod)
+    assert rec.instance is not old and not rec.stale
+    ref = planner.suffix_initialize(rec.k).instance
+    assert (rec.instance.g, rec.instance.rhs) == (ref.g, ref.rhs)
+    assert rec.fresh == ref.expansions
+    assert rec.cost == loop_cost(pa, rec.acc)[0]
+    fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
+    assert (run.prefix, run.suffix, run.accepting, run.total) == \
+        (fresh.prefix, fresh.suffix, fresh.accepting, fresh.total)
+    assert old.expansions - spent + rec.instance.expansions <= budget + ref.expansions

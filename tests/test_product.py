@@ -3,11 +3,10 @@ import time
 
 import pytest
 
-from conftest import chi_bits, visit_in_order_hoa
+from conftest import chi_bits, dist, unpack, visit_in_order_hoa
 from tlreplan.hoa import parse_nba
 from tlreplan.labels import APUniverse
-from tlreplan.product import (build_product, build_relaxed_product, dist,
-                              dist_bits)
+from tlreplan.product import build_product, build_relaxed_product, dist_bits
 from tlreplan.world import Belief, ChangeEvent, GridScenario, to_wts
 from tlreplan.wts import WTS
 
@@ -198,9 +197,9 @@ def test_plain_edges_reverified_by_independent_guard_evaluation(seq_nba):
     for qm, guard, qn in seq_nba.transitions:
         guards.setdefault((qm, qn), []).append(guard)
     for u in range(pa.n_states):
-        pi, qm = pa.unpack(u)
+        pi, qm = unpack(pa, u)
         for v in pa.succ[u]:
-            pj, qn = pa.unpack(v)
+            pj, qn = unpack(pa, v)
             assert wts.has_edge(pi, pj)
             bits = wts.labels[pj]
             assert any(_eval_reference(g, bits) for g in guards.get((qm, qn), []))

@@ -2,9 +2,8 @@ import csv
 import json
 import math
 
-from conftest import ASSETS
-from tlreplan.simulate import (CSV_HEADER, replay_iterative, simulate,
-                               write_trace_csv, write_trace_json)
+from conftest import ASSETS, replay_iterative
+from tlreplan.simulate import CSV_HEADER, simulate, write_trace_csv, write_trace_json
 from tlreplan.world import load_scenario, random_map
 
 INF = math.inf
