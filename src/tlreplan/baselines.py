@@ -11,7 +11,7 @@ inputs both produce identical runs, not just identical totals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .planner import NoAcceptingRun, Run, RunFollower, SUFFIX, check_beta
 from .weights import INF, INF_W, lasso_cost, path_weight
@@ -107,75 +107,115 @@ def dijkstra_oracle(pa, start, beta: int) -> OracleResult:
 
 
 def loop_cost(pa, acc) -> tuple[tuple, int]:
-    """Cheapest cycle through `acc`: distance out plus one closing edge.
+    """Cheapest cycle through `acc`, with the count of settled states.
 
-    A Dijkstra search from `acc` that pushes a state only when its
-    tentative cost improves. Settling a closing predecessor `p` (one with a
-    finite edge `p -> acc`) offers the cycle `dist(p) + w(p, acc)`. The
-    search stops once every closing predecessor is settled, or as soon as
-    the cheapest frontier cost is no lower than the best cycle offered so
-    far. The second rule is exact too: every state settled later costs at
-    least the frontier, and closing weights are non-negative, so no later
-    cycle can be cheaper. A closing predecessor that is never reached
-    therefore no longer makes the search cover every state reachable from
-    `acc`. Returns (cost, settled-state count).
+    See `_loop_search`; a state without a finite closing edge costs no pops.
+    """
+    cost, _dist, pops = _loop_search(pa, acc)
+    return cost, pops
+
+
+def _loop_search(pa, acc, prefix=None, bound=INF_W, beta: int = 1):
+    """Dijkstra backward from the closing predecessors of `acc` until its cycle is known.
+
+    A closing predecessor `p` (one with a finite edge `p -> acc`) is seeded
+    at `w(p, acc)`, so `acc` is reached at its cheapest cycle. The search
+    stops once the frontier is no cheaper than that, and every state
+    settled by then holds its exact cost of closing the loop: all the
+    values the loop-path descent from `acc` can choose, since each costs
+    less than the cycle (travel >= 1 per edge). With a `prefix` weight, the search is
+    abandoned once `prefix + beta * frontier` exceeds `bound`; no cycle
+    through `acc` is cheaper than the frontier. Returns (cycle cost, settled
+    costs, pops); the cost is INF_W when no cycle exists and None when the
+    search was abandoned.
     """
     succ = pa.succ
-    closing = {p: w for p in pa.pred[acc] for w in [succ[p][acc]] if w[1] != INF}
-    if not closing:
-        return INF_W, 0
-    unsettled = len(closing)
-    best = INF_W
-    tentative = {acc: (0, 0)}
-    heap = [((0, 0), acc)]
+    pred = pa.pred
+    tentative = {}
+    for p in pred[acc]:
+        w = succ[p][acc]
+        if w[1] != INF:
+            tentative[p] = w
+    heap = [(w, p) for p, w in tentative.items()]
+    heapify(heap)
+    dist = {}
     pops = 0
     while heap:
         d, u = heappop(heap)
-        if d >= best:
-            break
         if d > tentative[u]:
             continue
+        closed = tentative.get(acc)
+        if closed is not None and d >= closed:
+            return closed, dist, pops
+        if prefix is not None and lasso_cost(prefix, d, beta) > bound:
+            return None, dist, pops
+        dist[u] = d
         pops += 1
         dv, dt = d
-        w = closing.get(u)
-        if w is not None:
-            best = min(best, (dv + w[0], dt + w[1]))
-            unsettled -= 1
-            if not unsettled:
-                break
-        for v, (wv, wt) in succ[u].items():
+        for p in pred[u]:
+            wv, wt = succ[p][u]
             if wt == INF:
                 continue
             cand = (dv + wv, dt + wt)
-            if cand < tentative.get(v, INF_W):
-                tentative[v] = cand
-                heappush(heap, (cand, v))
-    return best, pops
+            if cand < tentative.get(p, INF_W):
+                tentative[p] = cand
+                heappush(heap, (cand, p))
+    return INF_W, dist, pops
 
 
 def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
     """Single-shot optimal run, reconstructed exactly like the incremental planner.
 
-    Computes every accepting state's loop cost, then sweeps the
-    cost-to-virtual-goal values backward until every source is settled,
-    and finally descends those values greedily (ties to the lowest state
-    index, closing the loop only when strictly cheaper, which mirrors the
-    virtual goal's high index). Stopping the sweep early is exact: every
-    product edge has travel >= 1 (`WTS` and `map_wts_change` reject less),
-    so each state the descent can choose costs strictly less than the
-    last source settled, and was settled before it.
+    Computes the loop costs, then sweeps the cost-to-virtual-goal values
+    backward until every source is settled, and finally descends those
+    values greedily (ties to the lowest state index, closing the loop only
+    when strictly cheaper, which mirrors the virtual goal's high index).
+    Stopping the sweep early is exact: every product edge has travel >= 1
+    (`WTS` and `map_wts_change` reject less), so each state the descent can
+    choose costs strictly less than the last source settled, and was
+    settled before it. The loop itself is descended along the chosen
+    state's own loop search.
+
+    Loop searches run unbounded until they have settled as many states as
+    the product holds. If more remain, one forward pass from the sources
+    gives each accepting state its prefix cost, and the rest are searched
+    cheapest prefix first, each abandoned once it cannot beat the best
+    total so far. An abandoned state, or one the sources cannot reach,
+    closes no run: every route through it costs more than the optimum from
+    any state of an optimal path, so dropping it changes no value the
+    descent compares against another. The pruning is strict, so a state
+    that ties the best total keeps its exact loop.
     """
     check_beta(beta)
     sources = list(start) if isinstance(start, (list, tuple)) else [start]
+    succ = pa.succ
+    live = [acc for acc in pa.accepting
+            if any(succ[p][acc][1] != INF for p in pa.pred[acc])]
+    loops = {}  # accepting state -> (loop cost, its search's settled costs)
     pops = 0
-    loops_scaled = {}
-    loops_raw = {}
-    for acc in pa.accepting:
-        lk, lk_pops = loop_cost(pa, acc)
-        pops += lk_pops
-        loops_raw[acc] = lk
-        if lk[1] != INF:
-            loops_scaled[acc] = lasso_cost((0, 0), lk, beta)
+    budget = pa.n_states
+    i = 0
+    while i < len(live) and pops <= budget:
+        cost, dist, p = _loop_search(pa, live[i])
+        pops += p
+        loops[live[i]] = (cost, dist)
+        i += 1
+    rest = live[i:]
+    if rest:
+        prefix, p = lex_dijkstra(_fwd(pa), sources)
+        pops += p
+        best = min((lasso_cost(prefix[acc], cost, beta)
+                    for acc, (cost, _) in loops.items() if acc in prefix), default=INF_W)
+        for acc in sorted((acc for acc in rest if acc in prefix), key=prefix.__getitem__):
+            if prefix[acc] > best:
+                break
+            cost, dist, p = _loop_search(pa, acc, prefix[acc], best, beta)
+            pops += p
+            if cost is not None:
+                loops[acc] = (cost, dist)
+                best = min(best, lasso_cost(prefix[acc], cost, beta))
+    loops_scaled = {acc: lasso_cost((0, 0), cost, beta)
+                    for acc, (cost, _) in loops.items() if cost[1] != INF}
     if not loops_scaled:
         raise NoAcceptingRun("no accepting state has a finite loop", pops)
     seeds = [(acc, w) for acc, w in loops_scaled.items()]
@@ -194,10 +234,10 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
 
     prefix = _descend(pa, total_d, best_src, loops_scaled)
     acc = prefix[-1]
-    loop, p3 = _loop_path(pa, acc)
-    pops += p3
-    pk = path_weight(pa.succ, prefix)
-    lk = loops_raw[acc]
+    lk, dist = loops[acc]
+    closing = {p: w for p in pa.pred[acc] for w in [succ[p][acc]] if w[1] != INF}
+    loop = _descend(pa, dist, acc, closing) + [acc]
+    pk = path_weight(succ, prefix)
     return Run(prefix, loop, acc, pk, lk, lasso_cost(pk, lk, beta)), pops
 
 
@@ -228,27 +268,6 @@ def _descend(pa, values, start, closing, limit_slack: int = 10):
         path.append(s)
         if len(path) > limit:
             raise RuntimeError("path reconstruction did not terminate")
-
-
-def _loop_path(pa, acc) -> tuple[list[int], int]:
-    """Loop through acc, mirroring the planner's imaginary-goal extraction.
-
-    The backward sweep stops once `acc` is settled; as in `solve_fresh`,
-    every state the descent can choose costs strictly less than `acc`.
-    """
-    seeds = []
-    for p in pa.pred[acc]:
-        w = pa.succ[p][acc]
-        if w[1] != INF:
-            seeds.append((p, w))
-    dist, pops = lex_dijkstra(_bwd(pa), seeds, targets=[acc])
-    closing = {}
-    for p in pa.pred[acc]:
-        w = pa.succ[p][acc]
-        if w[1] != INF:
-            closing[p] = w
-    path = _descend(pa, dist, acc, closing)
-    return path + [acc], pops
 
 
 class _FreshSolveReplanner(RunFollower):

@@ -242,3 +242,63 @@ def replay_iterative(scenario: GridScenario, nba, recorded, beta: int = 10,
             return report
     report.completed = True
     return report
+
+
+def loop_cost_reference(pa, acc):
+    """Cheapest cycle through `acc` by a forward Dijkstra search from `acc`.
+
+    Settling a closing predecessor `p` offers the cycle `dist(p) + w(p, acc)`;
+    the search stops once the frontier is no cheaper than the best cycle
+    offered. Returns (cost, settled-state count).
+    """
+    succ = pa.succ
+    closing = {p: w for p in pa.pred[acc] for w in [succ[p][acc]] if w[1] != INF}
+    best = INF_W
+    tentative = {acc: (0, 0)}
+    heap = [((0, 0), acc)] if closing else []
+    pops = 0
+    while heap:
+        d, u = heappop(heap)
+        if d >= best:
+            break
+        if d > tentative[u]:
+            continue
+        pops += 1
+        w = closing.get(u)
+        if w is not None:
+            best = min(best, (d[0] + w[0], d[1] + w[1]))
+        for v, (wv, wt) in succ[u].items():
+            cand = (d[0] + wv, d[1] + wt)
+            if wt != INF and cand < tentative.get(v, INF_W):
+                tentative[v] = cand
+                heappush(heap, (cand, v))
+    return best, pops
+
+
+def solve_fresh_reference(pa, start, beta: int):
+    """`solve_fresh` without pruning or shared searches: the reference it must equal.
+
+    Every accepting state gets a full forward loop search, the total
+    cost-to-goal is swept backward until every source settles, the prefix
+    is descended along it, and the loop is descended along a separate
+    backward search from the chosen state's closing predecessors.
+    """
+    from tlreplan.baselines import _bwd, _descend, lex_dijkstra
+    from tlreplan.planner import Run
+    from tlreplan.weights import lasso_cost, path_weight
+    sources = list(start) if isinstance(start, (list, tuple)) else [start]
+    loops = {acc: loop_cost_reference(pa, acc)[0] for acc in pa.accepting}
+    scaled = {acc: lasso_cost((0, 0), lk, beta) for acc, lk in loops.items() if lk[1] != INF}
+    if not scaled:
+        raise NoAcceptingRun("no accepting state has a finite loop")
+    total, _ = lex_dijkstra(_bwd(pa), list(scaled.items()), targets=sources)
+    best_src = min(sources, key=lambda s: (total.get(s, INF_W), s))
+    if total.get(best_src, INF_W)[1] == INF:
+        raise NoAcceptingRun("no accepting state is reachable with a finite loop")
+    prefix = _descend(pa, total, best_src, scaled)
+    acc = prefix[-1]
+    closing = {p: w for p in pa.pred[acc] for w in [pa.succ[p][acc]] if w[1] != INF}
+    dist, _ = lex_dijkstra(_bwd(pa), list(closing.items()), targets=[acc])
+    loop = _descend(pa, dist, acc, closing) + [acc]
+    pk = path_weight(pa.succ, prefix)
+    return Run(prefix, loop, acc, pk, loops[acc], lasso_cost(pk, loops[acc], beta))

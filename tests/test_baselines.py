@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from conftest import bellman_ford, random_weighted_graph, visit_in_order_hoa
+from conftest import (bellman_ford, random_weighted_graph, solve_fresh_reference,
+                      visit_in_order_hoa)
+from tlreplan import baselines
 from tlreplan.baselines import (IterativeReplanner, LocalRevisionReplanner,
                                 dijkstra_oracle, lex_dijkstra, loop_cost, solve_fresh)
 from tlreplan.hoa import parse_nba
@@ -270,6 +272,62 @@ def test_solve_fresh_infeasible():
     pa = TinyPA(2, [(0, 1, (0, 10))], accepting=[0, 1], initial=[0])
     with pytest.raises(NoAcceptingRun):
         solve_fresh(pa, [0], 10)
+
+
+def test_solve_fresh_matches_reference(monkeypatch, seq_nba):
+    """Pruned, shared loop searches give the reference's run, or its verdict.
+
+    Random 6x6 maps in plain and relaxed mode, with random deletes and
+    reweights, solved from single starts and from several at once. Some
+    solves prune loop searches by the prefix bound, and some are infeasible.
+    """
+    searches = {"bounded": 0, "abandoned": 0}
+    search = baselines._loop_search
+
+    def counted(pa, acc, prefix=None, bound=(INF, INF), beta=1):
+        result = search(pa, acc, prefix, bound, beta)
+        searches["bounded"] += prefix is not None
+        searches["abandoned"] += result[0] is None
+        return result
+
+    monkeypatch.setattr(baselines, "_loop_search", counted)
+    verdicts = {"run": 0, "infeasible": 0}
+    for seed in range(12):
+        rng = random.Random(seed)
+        k = rng.randint(2, 4)
+        nba = seq_nba if seed % 3 == 0 else parse_nba(visit_in_order_hoa(k))
+        names = list(nba.universe.names)
+        cells = [(r, c) for r in range(6) for c in range(6)]
+        rng.shuffle(cells)
+        scenario = GridScenario(
+            width=6, height=6, walls=set(), bumps=set(),
+            obstacles={cell for cell in cells[len(names):] if rng.random() < 0.2},
+            regions={name: {cell} for name, cell in zip(names, cells)}, start=cells[0])
+        wts = to_wts(scenario, Belief(known_obstacles=set(scenario.obstacles)), nba.universe)
+        for build in (build_product, build_relaxed_product):
+            pa = build(wts, nba)
+            for _ in range(3):
+                for i, out in enumerate(wts.succ):
+                    for j in out:
+                        if rng.random() < 0.08:
+                            kind = rng.choice(["delete", "reweight"])
+                            weight = rng.choice([20, 50]) if kind == "reweight" else None
+                            pa.apply_changes(pa.map_wts_change(ChangeEvent(kind, i, j, weight)))
+                starts = [list(pa.initial)] + [[rng.randrange(pa.n_states)] for _ in range(3)]
+                starts.append(rng.sample(range(pa.n_states), 3))
+                for start in starts:
+                    try:
+                        want = solve_fresh_reference(pa, start, 10)
+                    except NoAcceptingRun:
+                        with pytest.raises(NoAcceptingRun):
+                            solve_fresh(pa, start, 10)
+                        verdicts["infeasible"] += 1
+                        continue
+                    got, _ = solve_fresh(pa, start, 10)
+                    assert got == want, (seed, build.__name__, start)
+                    verdicts["run"] += 1
+    assert all(verdicts.values()), verdicts
+    assert all(searches.values()), searches
 
 
 def test_local_revision_event_totals_never_beat_optimal(seq_nba_anchored):
