@@ -3,15 +3,15 @@
 from .hoa import (NBA, GuardTooLargeError, HoaParseError, UnsupportedHoaError, parse_nba,
                   parse_nba_file)
 from .labels import APUniverse, APUniverseError, Label, rho, xi, zeta
-from .planner import (LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError, Run,
-                      total_cost)
+from .planner import (EdgeOutsideGridError, LTLDStarPlanner, NoAcceptingRun,
+                      ReweightBelowStepError, Run, total_cost)
 from .product import ProductAutomaton, build_product, build_relaxed_product
 from .simulate import TraceReport, simulate
 from .world import GridScenario, load_scenario, random_map, sense, to_wts
 from .wts import WTS, load_wts
 
 __all__ = [
-    "APUniverse", "APUniverseError", "GridScenario", "GuardTooLargeError",
+    "APUniverse", "APUniverseError", "EdgeOutsideGridError", "GridScenario", "GuardTooLargeError",
     "HoaParseError", "Label", "LTLDStarPlanner", "NBA", "NoAcceptingRun",
     "ProductAutomaton", "ReweightBelowStepError", "Run", "TraceReport",
     "UnsupportedHoaError", "WTS",

@@ -32,6 +32,19 @@ solve. Past that budget the half-repaired search is dropped and the
 record is solved from scratch in place. Both end with the exact loop cost
 and the search `plan_initial` would build, so runs are unchanged.
 
+On grid workspaces every loop search is focused by its distance in the
+free product: the product over the belief WTS's cells, walls and hidden
+obstacles ignored, with one move of travel `h.step` to each 4-neighbour and
+only violation-free automaton moves. Sensing never changes a label and
+`replan` keeps every travel at or above `h.step`, so each violation-free
+product edge, now or later, is a free move at no lower cost; an edge that
+violates raises a key's first component and needs no bound. The free
+distance from the accepting state, the search's fixed start, is therefore
+admissible and consistent under every change kind. One breadth-first
+search per record gives it, and stops at the shortest free cycle through
+the accepting state: any state beyond that depth is given one step more,
+which keeps the bound consistent.
+
 Runs stay identical to a search over exact loop costs. The final path
 closes through an exact loop, so its total is exact, and since every other
 goal edge is a lower bound, no run is cheaper. Every state on that path
@@ -73,6 +86,12 @@ class ReweightBelowStepError(ValueError):
     which would make the heuristic inadmissible."""
 
 
+class EdgeOutsideGridError(ValueError):
+    """A change set creates a violation-free edge that is no free-product move
+    (its cells are not grid neighbours), which would make the heuristics
+    inadmissible."""
+
+
 def check_beta(beta: int) -> None:
     """Reject a suffix weighting below 1, which would discount the loop away."""
     if beta < 1:
@@ -111,6 +130,7 @@ class SuffixRecord:
     stale: bool = False  # changes queued, search not run; cost is a lower bound
     pending: set[int] = field(default_factory=set)  # changed-edge tails, rescanned at repair
     force: bool = False  # some pending edge was created: rescan unreached tails too
+    h: object = None  # loop-search heuristic, kept for re-solves; None: unfocused
 
     def get_loop(self) -> list[int]:
         """Loop through the accepting state; extracted on demand."""
@@ -121,6 +141,82 @@ class SuffixRecord:
                 path = self.instance.extract_path(self.acc)
                 self.loop = path[:-1] + [self.acc]
         return self.loop
+
+
+class FreeProduct:
+    """The grid product without obstacles: travel `step` per move, no violation.
+
+    `adj[i]` lists the cells cell i can ever move to: its 4-neighbours and
+    its WTS edges. `moves[j]` holds, per automaton state, the automaton
+    states a violation-free move into cell j can reach; it is shared by
+    cells with one label.
+    """
+
+    def __init__(self, pa, step: int):
+        wts = pa.wts
+        index = {cell: i for i, cell in enumerate(wts.coords)}
+        self.adj = []
+        for i, (r, c) in enumerate(wts.coords):
+            near = {index.get(nb) for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))}
+            near.discard(None)
+            self.adj.append(sorted(near | wts.succ[i].keys()))
+        by_label = {bits: pa.clean_moves(bits) for bits in set(wts.labels)}
+        self.moves = [by_label[bits] for bits in wts.labels]
+        self.nq = pa.nq
+        self.n = pa.n_states
+        self.step = step
+        self._succ: list[list[int] | None] = [None] * self.n  # filled on first visit
+
+    def succ(self, s: int) -> list[int]:
+        """The free moves out of product state s."""
+        out = self._succ[s]
+        if out is None:
+            i, q = divmod(s, self.nq)
+            moves = self.moves
+            out = self._succ[s] = [j * self.nq + qn for j in self.adj[i] for qn in moves[j][q]]
+        return out
+
+    def has_move(self, u: int, v: int) -> bool:
+        i, qm = divmod(u, self.nq)
+        j, qn = divmod(v, self.nq)
+        return j in self.adj[i] and qn in self.moves[j][qm]
+
+    def heuristic(self, acc: int):
+        """h(acc, s): free travel from `acc` to s, by a bounded breadth-first search.
+
+        The search stops at the depth of the shortest free cycle through
+        `acc`, or when it runs out of states. Every state
+        it did not reach is one step beyond the last depth, so it gets that
+        depth plus one step: still a lower bound, and consistent, since a
+        move from a reached state to an unreached one starts at the last
+        depth. Virtual states get 0.
+        """
+        succ = self.succ
+        depth = {acc: 0}
+        frontier = [acc]
+        d = 0
+        limit = None
+        while frontier and d != limit:
+            d += 1
+            grown = []
+            for s in frontier:
+                for t in succ(s):
+                    if t not in depth:
+                        depth[t] = d
+                        grown.append(t)
+                    elif t == acc and limit is None:
+                        limit = d
+            frontier = grown
+        dist = [(d + 1) * self.step] * self.n
+        values = [k * self.step for k in range(d + 1)]
+        for t, k in depth.items():
+            dist[t] = values[k]
+        n = self.n
+
+        def h(a: int, b: int) -> int:
+            return dist[b] if b < n else 0
+
+        return h
 
 
 class RunFollower:
@@ -180,6 +276,8 @@ class LTLDStarPlanner(RunFollower):
         self.synth_start = n
         self.global_img = n + 1
         self._base_h = heuristic
+        step = getattr(heuristic, "step", 0)
+        self._free = FreeProduct(pa, step) if step and pa.wts.coords is not None else None
         self.records: list[SuffixRecord] = []
         self._rec_by_acc: dict[int, SuffixRecord] = {}
         self.main: SearchInstance | None = None
@@ -216,17 +314,27 @@ class LTLDStarPlanner(RunFollower):
         """Set up and solve the loop search for accepting state index k."""
         acc = self.pa.accepting[k]
         img = self.pa.n_states + 2 + k
-        graph, inst = self._solve_loop(acc, img)
-        return SuffixRecord(k, acc, img, graph, inst, inst.cost_from(acc), inst.expansions)
+        h = self._loop_heuristic(acc)
+        graph, inst = self._solve_loop(acc, img, h)
+        return SuffixRecord(k, acc, img, graph, inst, inst.cost_from(acc), inst.expansions,
+                            h=h)
 
-    def _solve_loop(self, acc: int, img: int):
+    def _loop_heuristic(self, acc: int):
+        """The free-product distance from `acc`; None off the grid, or while no
+        finite edge enters `acc` (its search then expands only its goal)."""
+        pa = self.pa
+        if self._free is None or all(pa.succ[p][acc][1] == INF for p in pa.pred[acc]):
+            return None
+        return self._free.heuristic(acc)
+
+    def _solve_loop(self, acc: int, img: int, h):
         """A loop search through `acc` over the present product, solved from scratch."""
         pa = self.pa
         graph = OverlayGraph(pa)
         graph.add_virtual(img)
         for p in pa.pred[acc]:
             graph.set_extra(p, img, pa.succ[p][acc])
-        inst = SearchInstance(graph, start=acc, goal=img, counter=self._counter)
+        inst = SearchInstance(graph, start=acc, goal=img, heuristic=h, counter=self._counter)
         inst.compute_shortest_path()
         return graph, inst
 
@@ -258,7 +366,9 @@ class LTLDStarPlanner(RunFollower):
         rec.pending = set()
         rec.force = False
         if not rec.instance.compute_shortest_path(budget=max(1, rec.fresh // REPAIR_SHARE)):
-            rec.graph, rec.instance = self._solve_loop(rec.acc, rec.img)
+            if rec.h is None:
+                rec.h = self._loop_heuristic(rec.acc)
+            rec.graph, rec.instance = self._solve_loop(rec.acc, rec.img, rec.h)
             rec.fresh = rec.instance.expansions
         rec.stale = False
         old = rec.cost
@@ -289,12 +399,19 @@ class LTLDStarPlanner(RunFollower):
             raise ReweightBelowStepError(
                 f"edge {low[0].u}->{low[0].v} travel {low[0].weight[1]} is below the "
                 f"heuristic's step {step}; the product was left unchanged")
-        before = self._expansion_total()
         succ = self.pa.succ
+        free = self._free
+        if free is not None:
+            off = [ch for ch in mod if ch.v not in succ[ch.u] and ch.weight[0] == 0
+                   and not free.has_move(ch.u, ch.v)]
+            if off:
+                raise EdgeOutsideGridError(
+                    f"new edge {off[0].u}->{off[0].v} is no free-product move; "
+                    f"the product was left unchanged")
+        before = self._expansion_total()
         lowers = any(ch.v not in succ[ch.u] or ch.weight < succ[ch.u][ch.v] for ch in mod)
         created = self.pa.apply_changes(mod)
         sources = {ch.u for ch in mod}
-        sources_seq = tuple(sources)
         mirrors_by_acc: dict[int, list] = {}
         for ch in mod:
             mirrors_by_acc.setdefault(ch.v, []).append((ch.u, ch.weight))
@@ -305,7 +422,7 @@ class LTLDStarPlanner(RunFollower):
                 rhs = rec.instance.rhs
                 # a loop search that never reached any rewritten source
                 # cannot be affected; its cost is unchanged by construction
-                if len(rhs) == 1 or not any(u in rhs for u in sources_seq):
+                if rhs.keys().isdisjoint(sources):
                     continue
             self.mark_stale(rec, mirrors or (), sources, force=not skip_ok)
         if lowers:

@@ -108,6 +108,14 @@ class ProductAutomaton:
             self._relaxed_pairs[bits] = pairs
         return pairs
 
+    def clean_moves(self, bits: int) -> list[list[int]]:
+        """Per automaton state, its violation-free successors into a state labelled `bits`."""
+        moves: list[list[int]] = [[] for _ in range(self.nq)]
+        for qm, qn, viol in self._pairs_for_label(bits):
+            if not viol:
+                moves[qm].append(qn)
+        return moves
+
     # -- change mapping ------------------------------------------------------
 
     def map_wts_change(self, change) -> list[PAEdgeChange]:

@@ -6,13 +6,15 @@ import random
 import pytest
 from conftest import ASSETS
 
-from tlreplan.baselines import dijkstra_oracle, loop_cost, solve_fresh
+from tlreplan.baselines import dijkstra_oracle, lex_dijkstra, loop_cost, solve_fresh
 from tlreplan.hoa import parse_nba, parse_nba_file
-from tlreplan.planner import (PREFIX, REPAIR_SHARE, SUFFIX, LTLDStarPlanner, NoAcceptingRun,
-                              ReweightBelowStepError, Run, total_cost)
+from tlreplan.planner import (PREFIX, REPAIR_SHARE, SUFFIX, EdgeOutsideGridError,
+                              LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError, Run,
+                              total_cost)
 from tlreplan.product import PAEdgeChange, build_product, build_relaxed_product
 from tlreplan.world import (Belief, ChangeEvent, initial_belief, load_scenario,
                             make_grid_heuristic, random_map, sense, to_wts)
+from tlreplan.wts import load_wts
 from tlreplan.wts import WTS
 
 INF = math.inf
@@ -420,6 +422,8 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
         # a repair past its budget leaves the record with a new search
         seen["abandoned"] |= any(rec.instance is not old
                                  for rec, old in zip(planner.records, searches))
+        # every live loop search is focused by its free-product distance
+        assert all(rec.h is not None for rec in planner.records if rec.cost[1] != INF)
     assert seen == {"stale": True, "lowered": True, "created": True, "suffix": True,
                     "abandoned": True}
 
@@ -634,3 +638,100 @@ def test_blocked_run_loop_is_solved_again_from_scratch(seq_nba, relaxed):
     assert (run.prefix, run.suffix, run.accepting, run.total) == \
         (fresh.prefix, fresh.suffix, fresh.accepting, fresh.total)
     assert old.expansions - spent + rec.instance.expansions <= budget + ref.expansions
+
+
+GRID_MAPS = ("bench_map_a", "bench_map_b", "bench_map_blocked_c", "ring_unique",
+             "suffix_blockage")
+
+
+def _grid_map_planner(seq_nba, name, relaxed):
+    """A shipped map, planned, with every wall as an edge an `add` can create.
+
+    A map without walls gets one, between two free neighbours of the start.
+    """
+    scn = load_scenario(ASSETS / f"{name}.json")
+    if not scn.walls:
+        free = [c for c in scn.neighbors(scn.start) if c not in scn.obstacles]
+        scn.walls = {frozenset((scn.start, free[0]))}
+    belief = initial_belief(scn)
+    wts = to_wts(scn, belief, seq_nba.universe)
+    belief.attach(wts)
+    pa = (build_relaxed_product if relaxed else build_product)(wts, seq_nba)
+    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    planner.plan_initial()
+    index = belief.cell_index
+    walls = [(index[a], index[b]) for a, b in map(tuple, scn.walls)
+             if a in index and b in index]
+    return pa, planner, walls
+
+
+def _check_loop_heuristics(planner) -> int:
+    """Each focused loop search's h(acc, .) is 0 at acc, admissible and consistent.
+
+    Admissible: no higher than the violation-free travel from acc in the
+    present product. Consistent: no violation-free edge u -> v has
+    h(v) > h(u) + travel. Returns the number of searches checked.
+    """
+    pa = planner.pa
+    clean = [(u, v, wt) for u, out in enumerate(pa.succ) for v, (wv, wt) in out.items()
+             if wv == 0 and wt != INF]
+    checked = 0
+    for rec in planner.records:
+        if rec.h is None:
+            continue
+        h = [rec.h(rec.acc, s) for s in range(pa.n_states)]
+        assert h[rec.acc] == 0
+        assert all(h[v] <= h[u] + wt for u, v, wt in clean), rec.acc
+        dist, _ = lex_dijkstra(
+            lambda u: [(v, w) for v, w in pa.succ[u].items() if w[0] == 0], [rec.acc])
+        assert all(h[s] <= t for s, (_v, t) in dist.items()), rec.acc
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+@pytest.mark.parametrize("name", GRID_MAPS)
+def test_loop_heuristic_admissible_and_consistent(seq_nba, name, relaxed):
+    """On every shipped grid map the loop heuristics hold before and after the
+    product gains edges and loses cost: a raise, a lowering set that undoes
+    it, and an `add` that opens every wall. Each replan equals `solve_fresh`.
+    """
+    pa, planner, walls = _grid_map_planner(seq_nba, name, relaxed)
+    assert walls
+    assert _check_loop_heuristics(planner) > 0
+    rng = random.Random(name)
+    raised = rng.sample([(i, j) for i, j, d in pa.wts.edges() if d == 10], 12)
+    batches = [[ChangeEvent("reweight", i, j, 50) for i, j in raised],
+               [ChangeEvent("reweight", i, j, 10) for i, j in raised],
+               [ChangeEvent("add", a, b, 10) for i, j in walls for a, b in ((i, j), (j, i))]]
+    for events in batches:
+        mod = [ch for ev in events for ch in pa.map_wts_change(ev)]
+        start = planner.current_state
+        run = planner.replan(mod)
+        fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
+        assert run == fresh
+        assert _check_loop_heuristics(planner) > 0
+        planner.advance()
+
+
+def test_waypoint_graph_loop_searches_stay_unfocused():
+    """Without cell coordinates there is no free product and no loop heuristic."""
+    nba = parse_nba_file(ASSETS / "delivery_sequence.hoa")
+    pa = build_product(load_wts(ASSETS / "delivery_6x6.json", nba.universe), nba)
+    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    planner.plan_initial()
+    assert all(rec.h is None for rec in planner.records)
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+def test_add_outside_the_grid_is_rejected(seq_nba, relaxed):
+    """An `add` between cells that are no grid neighbours raises before the
+    product is written, since it would undercut the free-product distance."""
+    pa, planner, _walls = _grid_map_planner(seq_nba, "bench_map_a", relaxed)
+    coords = pa.wts.coords
+    far = next(j for j, c in enumerate(coords)
+               if abs(c[0] - coords[0][0]) + abs(c[1] - coords[0][1]) == 2)
+    before = (copy.deepcopy(pa.succ), copy.deepcopy(pa.pred))
+    with pytest.raises(EdgeOutsideGridError, match="no free-product move"):
+        planner.replan(pa.map_wts_change(ChangeEvent("add", 0, far, 10)))
+    assert (pa.succ, pa.pred) == before
