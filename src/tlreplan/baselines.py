@@ -66,12 +66,6 @@ def _fwd(pa):
     return lambda u: succ[u].items()
 
 
-def _bwd(pa):
-    succ = pa.succ
-    pred = pa.pred
-    return lambda u: [(p, succ[p][u]) for p in pred[u]]
-
-
 @dataclass
 class OracleResult:
     prefix: list[tuple]
@@ -109,47 +103,50 @@ def dijkstra_oracle(pa, start, beta: int) -> OracleResult:
 def loop_cost(pa, acc) -> tuple[tuple, int]:
     """Cheapest cycle through `acc`, with the count of settled states.
 
-    See `_loop_search`; a state without a finite closing edge costs no pops.
+    A backward search from the closing predecessors (`_backward`); a state
+    without a finite closing edge costs no pops.
     """
-    cost, _dist, pops = _loop_search(pa, acc)
+    cost, _values, pops = _backward(pa, _closing(pa, acc), {acc})
     return cost, pops
 
 
-def _loop_search(pa, acc, prefix=None, bound=INF_W, beta: int = 1):
-    """Dijkstra backward from the closing predecessors of `acc` until its cycle is known.
+def _closing(pa, acc) -> dict:
+    """Weight of each finite edge into `acc`, by its tail."""
+    succ = pa.succ
+    return {p: w for p in pa.pred[acc] for w in [succ[p][acc]] if w[1] != INF}
 
-    A closing predecessor `p` (one with a finite edge `p -> acc`) is seeded
-    at `w(p, acc)`, so `acc` is reached at its cheapest cycle. The search
-    stops once the frontier is no cheaper than that, and every state
-    settled by then holds its exact cost of closing the loop: all the
-    values the loop-path descent from `acc` can choose, since each costs
-    less than the cycle (travel >= 1 per edge). With a `prefix` weight, the search is
-    abandoned once `prefix + beta * frontier` exceeds `bound`; no cycle
-    through `acc` is cheaper than the frontier. Returns (cycle cost, settled
-    costs, pops); the cost is INF_W when no cycle exists and None when the
-    search was abandoned.
+
+def _backward(pa, seeds: dict, targets, prefix=None, bound=INF_W, beta: int = 1):
+    """Dijkstra backward from weighted seeds until the cheapest target's cost is known.
+
+    The search stops once the frontier is no cheaper than the cheapest
+    target reached. Every state cheaper than that target is then settled at
+    its exact cost, and every other tentative cost is at least the
+    target's. A greedy descent from the target only ever moves to a
+    strictly cheaper state (travel >= 1 per edge), so every value it acts
+    on is exact.
+    Seeded with the closing edges of `acc` and targeting `acc`, it finds
+    the cheapest cycle through `acc`. With a `prefix` weight, it is
+    abandoned once `prefix + beta * frontier` exceeds `bound`, since no
+    target is cheaper than the frontier. Returns (the target's cost,
+    tentative costs, pops); the cost is INF_W when no target is reachable
+    and None when the search was abandoned.
     """
     succ = pa.succ
     pred = pa.pred
-    tentative = {}
-    for p in pred[acc]:
-        w = succ[p][acc]
-        if w[1] != INF:
-            tentative[p] = w
-    heap = [(w, p) for p, w in tentative.items()]
+    tentative = dict(seeds)
+    heap = [(w, s) for s, w in tentative.items()]
     heapify(heap)
-    dist = {}
+    best = min((tentative[t] for t in targets if t in tentative), default=INF_W)
     pops = 0
     while heap:
         d, u = heappop(heap)
+        if d >= best:
+            break
         if d > tentative[u]:
             continue
-        closed = tentative.get(acc)
-        if closed is not None and d >= closed:
-            return closed, dist, pops
         if prefix is not None and lasso_cost(prefix, d, beta) > bound:
-            return None, dist, pops
-        dist[u] = d
+            return None, tentative, pops
         pops += 1
         dv, dt = d
         for p in pred[u]:
@@ -160,21 +157,21 @@ def _loop_search(pa, acc, prefix=None, bound=INF_W, beta: int = 1):
             if cand < tentative.get(p, INF_W):
                 tentative[p] = cand
                 heappush(heap, (cand, p))
-    return INF_W, dist, pops
+                if cand < best and p in targets:
+                    best = cand
+    return best, tentative, pops
 
 
 def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
     """Single-shot optimal run, reconstructed exactly like the incremental planner.
 
     Computes the loop costs, then sweeps the cost-to-virtual-goal values
-    backward until every source is settled, and finally descends those
-    values greedily (ties to the lowest state index, closing the loop only
-    when strictly cheaper, which mirrors the virtual goal's high index).
-    Stopping the sweep early is exact: every product edge has travel >= 1
-    (`WTS` and `map_wts_change` reject less), so each state the descent can
-    choose costs strictly less than the last source settled, and was
-    settled before it. The loop itself is descended along the chosen
-    state's own loop search.
+    backward from the accepting states until the cheapest source's cost is
+    known, and finally descends those values greedily from it (ties to the
+    lowest state index, closing the loop only when strictly cheaper, which
+    mirrors the virtual goal's high index). The loop itself is descended
+    along the chosen state's own loop search. Both descents read only exact
+    values (`_backward`).
 
     Loop searches run unbounded until they have settled as many states as
     the product holds. If more remain, one forward pass from the sources
@@ -183,22 +180,20 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
     total so far. An abandoned state, or one the sources cannot reach,
     closes no run: every route through it costs more than the optimum from
     any state of an optimal path, so dropping it changes no value the
-    descent compares against another. The pruning is strict, so a state
-    that ties the best total keeps its exact loop.
+    descent compares against another.
     """
     check_beta(beta)
     sources = list(start) if isinstance(start, (list, tuple)) else [start]
-    succ = pa.succ
-    live = [acc for acc in pa.accepting
-            if any(succ[p][acc][1] != INF for p in pa.pred[acc])]
-    loops = {}  # accepting state -> (loop cost, its search's settled costs)
+    closing = {acc: c for acc in pa.accepting for c in [_closing(pa, acc)] if c}
+    live = list(closing)
+    loops = {}  # accepting state -> (loop cost, its search's cost-to-close values)
     pops = 0
-    budget = pa.n_states
     i = 0
-    while i < len(live) and pops <= budget:
-        cost, dist, p = _loop_search(pa, live[i])
+    while i < len(live) and pops <= pa.n_states:
+        acc = live[i]
+        cost, values, p = _backward(pa, closing[acc], {acc})
         pops += p
-        loops[live[i]] = (cost, dist)
+        loops[acc] = (cost, values)
         i += 1
     rest = live[i:]
     if rest:
@@ -209,35 +204,26 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
         for acc in sorted((acc for acc in rest if acc in prefix), key=prefix.__getitem__):
             if prefix[acc] > best:
                 break
-            cost, dist, p = _loop_search(pa, acc, prefix[acc], best, beta)
+            cost, values, p = _backward(pa, closing[acc], {acc}, prefix[acc], best, beta)
             pops += p
             if cost is not None:
-                loops[acc] = (cost, dist)
+                loops[acc] = (cost, values)
                 best = min(best, lasso_cost(prefix[acc], cost, beta))
     loops_scaled = {acc: lasso_cost((0, 0), cost, beta)
                     for acc, (cost, _) in loops.items() if cost[1] != INF}
     if not loops_scaled:
         raise NoAcceptingRun("no accepting state has a finite loop", pops)
-    seeds = [(acc, w) for acc, w in loops_scaled.items()]
-    total_d, p2 = lex_dijkstra(_bwd(pa), seeds, targets=sources)
-    pops += p2
-
-    best_src = None
-    best_d = INF_W
-    for s in sources:
-        d = total_d.get(s, INF_W)
-        if d < best_d or (d == best_d and (best_src is None or s < best_src)):
-            best_d = d
-            best_src = s
+    best_d, total_d, p = _backward(pa, loops_scaled, set(sources))
+    pops += p
     if best_d[1] == INF:
         raise NoAcceptingRun("no accepting state is reachable with a finite loop", pops)
+    best_src = min(s for s in sources if total_d.get(s) == best_d)
 
     prefix = _descend(pa, total_d, best_src, loops_scaled)
     acc = prefix[-1]
-    lk, dist = loops[acc]
-    closing = {p: w for p in pa.pred[acc] for w in [succ[p][acc]] if w[1] != INF}
-    loop = _descend(pa, dist, acc, closing) + [acc]
-    pk = path_weight(succ, prefix)
+    lk, values = loops[acc]
+    loop = _descend(pa, values, acc, closing[acc]) + [acc]
+    pk = path_weight(pa.succ, prefix)
     return Run(prefix, loop, acc, pk, lk, lasso_cost(pk, lk, beta)), pops
 
 

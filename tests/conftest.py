@@ -283,22 +283,26 @@ def solve_fresh_reference(pa, start, beta: int):
     is descended along it, and the loop is descended along a separate
     backward search from the chosen state's closing predecessors.
     """
-    from tlreplan.baselines import _bwd, _descend, lex_dijkstra
+    from tlreplan.baselines import _descend, lex_dijkstra
     from tlreplan.planner import Run
     from tlreplan.weights import lasso_cost, path_weight
+
+    def bwd(u):
+        return [(p, pa.succ[p][u]) for p in pa.pred[u]]
+
     sources = list(start) if isinstance(start, (list, tuple)) else [start]
     loops = {acc: loop_cost_reference(pa, acc)[0] for acc in pa.accepting}
     scaled = {acc: lasso_cost((0, 0), lk, beta) for acc, lk in loops.items() if lk[1] != INF}
     if not scaled:
         raise NoAcceptingRun("no accepting state has a finite loop")
-    total, _ = lex_dijkstra(_bwd(pa), list(scaled.items()), targets=sources)
+    total, _ = lex_dijkstra(bwd, list(scaled.items()), targets=sources)
     best_src = min(sources, key=lambda s: (total.get(s, INF_W), s))
     if total.get(best_src, INF_W)[1] == INF:
         raise NoAcceptingRun("no accepting state is reachable with a finite loop")
     prefix = _descend(pa, total, best_src, scaled)
     acc = prefix[-1]
     closing = {p: w for p in pa.pred[acc] for w in [pa.succ[p][acc]] if w[1] != INF}
-    dist, _ = lex_dijkstra(_bwd(pa), list(closing.items()), targets=[acc])
+    dist, _ = lex_dijkstra(bwd, list(closing.items()), targets=[acc])
     loop = _descend(pa, dist, acc, closing) + [acc]
     pk = path_weight(pa.succ, prefix)
     return Run(prefix, loop, acc, pk, loops[acc], lasso_cost(pk, loops[acc], beta))

@@ -282,15 +282,15 @@ def test_solve_fresh_matches_reference(monkeypatch, seq_nba):
     solves prune loop searches by the prefix bound, and some are infeasible.
     """
     searches = {"bounded": 0, "abandoned": 0}
-    search = baselines._loop_search
+    search = baselines._backward
 
-    def counted(pa, acc, prefix=None, bound=(INF, INF), beta=1):
-        result = search(pa, acc, prefix, bound, beta)
+    def counted(pa, seeds, targets, prefix=None, bound=(INF, INF), beta=1):
+        result = search(pa, seeds, targets, prefix, bound, beta)
         searches["bounded"] += prefix is not None
         searches["abandoned"] += result[0] is None
         return result
 
-    monkeypatch.setattr(baselines, "_loop_search", counted)
+    monkeypatch.setattr(baselines, "_backward", counted)
     verdicts = {"run": 0, "infeasible": 0}
     for seed in range(12):
         rng = random.Random(seed)
