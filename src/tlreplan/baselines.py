@@ -125,6 +125,7 @@ def _backward(pa, seeds: dict, targets, prefix=None, bound=INF_W, beta: int = 1)
     target's. A greedy descent from the target only ever moves to a
     strictly cheaper state (travel >= 1 per edge), so every value it acts
     on is exact.
+
     Seeded with the closing edges of `acc` and targeting `acc`, it finds
     the cheapest cycle through `acc`. With a `prefix` weight, it is
     abandoned once `prefix + beta * frontier` exceeds `bound`, since no

@@ -57,6 +57,7 @@ created edge) breaks the lower bound, so it repairs every stale loop first.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .dstar import OverlayGraph, SearchInstance
@@ -130,7 +131,7 @@ class SuffixRecord:
     stale: bool = False  # changes queued, search not run; cost is a lower bound
     pending: set[int] = field(default_factory=set)  # changed-edge tails, rescanned at repair
     force: bool = False  # some pending edge was created: rescan unreached tails too
-    h: object = None  # loop-search heuristic, kept for re-solves; None: unfocused
+    h: Callable[[int, int], int] | None = None  # kept for re-solves; None: unfocused
 
     def get_loop(self) -> list[int]:
         """Loop through the accepting state; extracted on demand."""
@@ -185,11 +186,11 @@ class FreeProduct:
         """h(acc, s): free travel from `acc` to s, by a bounded breadth-first search.
 
         The search stops at the depth of the shortest free cycle through
-        `acc`, or when it runs out of states. Every state
-        it did not reach is one step beyond the last depth, so it gets that
-        depth plus one step: still a lower bound, and consistent, since a
-        move from a reached state to an unreached one starts at the last
-        depth. Virtual states get 0.
+        `acc`, or when it runs out of states. Every state it did not reach
+        lies beyond the last depth, so it gets that depth plus one step:
+        still a lower bound, and consistent, since a move from a reached
+        state to an unreached one starts at the last depth. Virtual states
+        get 0.
         """
         succ = self.succ
         depth = {acc: 0}
@@ -207,11 +208,11 @@ class FreeProduct:
                     elif t == acc and limit is None:
                         limit = d
             frontier = grown
-        dist = [(d + 1) * self.step] * self.n
-        values = [k * self.step for k in range(d + 1)]
-        for t, k in depth.items():
-            dist[t] = values[k]
+        step = self.step
         n = self.n
+        dist = [(d + 1) * step] * n
+        for t, k in depth.items():
+            dist[t] = k * step
 
         def h(a: int, b: int) -> int:
             return dist[b] if b < n else 0
