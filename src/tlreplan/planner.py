@@ -57,6 +57,7 @@ created edge) breaks the lower bound, so it repairs every stale loop first.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -147,40 +148,32 @@ class SuffixRecord:
 class FreeProduct:
     """The grid product without obstacles: travel `step` per move, no violation.
 
-    `adj[i]` lists the cells cell i can ever move to: its 4-neighbours and
-    its WTS edges. `moves[j]` holds, per automaton state, the automaton
-    states a violation-free move into cell j can reach; it is shared by
-    cells with one label.
+    `adj[i]` holds a pair for each cell j that cell i can ever move to (its
+    4-neighbours and its WTS edges): j's first product state, and per
+    automaton state the automaton states a violation-free move into j can
+    reach. That table is shared by cells with one label.
     """
 
     def __init__(self, pa, step: int):
         wts = pa.wts
+        nq = pa.nq
         index = {cell: i for i, cell in enumerate(wts.coords)}
+        by_label = {bits: pa.clean_moves(bits) for bits in set(wts.labels)}
+        entry = [(j * nq, by_label[bits]) for j, bits in enumerate(wts.labels)]
         self.adj = []
         for i, (r, c) in enumerate(wts.coords):
             near = {index.get(nb) for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))}
             near.discard(None)
-            self.adj.append(sorted(near | wts.succ[i].keys()))
-        by_label = {bits: pa.clean_moves(bits) for bits in set(wts.labels)}
-        self.moves = [by_label[bits] for bits in wts.labels]
-        self.nq = pa.nq
+            self.adj.append([entry[j] for j in sorted(near | wts.succ[i].keys())])
+        self.nq = nq
         self.n = pa.n_states
         self.step = step
-        self._succ: list[list[int] | None] = [None] * self.n  # filled on first visit
-
-    def succ(self, s: int) -> list[int]:
-        """The free moves out of product state s."""
-        out = self._succ[s]
-        if out is None:
-            i, q = divmod(s, self.nq)
-            moves = self.moves
-            out = self._succ[s] = [j * self.nq + qn for j in self.adj[i] for qn in moves[j][q]]
-        return out
 
     def has_move(self, u: int, v: int) -> bool:
-        i, qm = divmod(u, self.nq)
-        j, qn = divmod(v, self.nq)
-        return j in self.adj[i] and qn in self.moves[j][qm]
+        qm = u % self.nq
+        base, qn = divmod(v, self.nq)
+        base *= self.nq
+        return any(b == base and qn in moves[qm] for b, moves in self.adj[u // self.nq])
 
     def heuristic(self, acc: int):
         """h(acc, s): free travel from `acc` to s, by a bounded breadth-first search.
@@ -192,7 +185,7 @@ class FreeProduct:
         state to an unreached one starts at the last depth. Virtual states
         get 0.
         """
-        succ = self.succ
+        nq, adj = self.nq, self.adj
         depth = {acc: 0}
         frontier = [acc]
         d = 0
@@ -201,21 +194,26 @@ class FreeProduct:
             d += 1
             grown = []
             for s in frontier:
-                for t in succ(s):
-                    if t not in depth:
-                        depth[t] = d
-                        grown.append(t)
-                    elif t == acc and limit is None:
-                        limit = d
+                i, q = divmod(s, nq)
+                for base, moves in adj[i]:
+                    for qn in moves[q]:
+                        t = base + qn
+                        if t not in depth:
+                            depth[t] = d
+                            grown.append(t)
+                        elif t == acc and limit is None:
+                            limit = d
             frontier = grown
+        # one byte per state while depths fit: a planner keeps one of these
+        # per live accepting state
+        dist = array("B" if d < 0xFF else "I", [d + 1]) * self.n
+        for t, k in depth.items():
+            dist[t] = k
         step = self.step
         n = self.n
-        dist = [(d + 1) * step] * n
-        for t, k in depth.items():
-            dist[t] = k * step
 
         def h(a: int, b: int) -> int:
-            return dist[b] if b < n else 0
+            return dist[b] * step if b < n else 0
 
         return h
 
