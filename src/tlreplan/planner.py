@@ -57,7 +57,6 @@ created edge) breaks the lower bound, so it repairs every stale loop first.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -206,7 +205,7 @@ class FreeProduct:
             frontier = grown
         # one byte per state while depths fit: a planner keeps one of these
         # per live accepting state
-        dist = array("B" if d < 0xFF else "I", [d + 1]) * self.n
+        dist = bytearray([d + 1]) * self.n if d < 0xFF else [d + 1] * self.n
         for t, k in depth.items():
             dist[t] = k
         step = self.step
