@@ -1,16 +1,15 @@
-"""Comparison algorithms and the brute-force optimality oracle.
+"""Comparison algorithms and the from-scratch optimal solve.
 
 Everything here is deliberately independent of the incremental engine: the
-oracle and both baselines run plain single-shot searches over the product
-adjacency so that agreement with the incremental planner is meaningful.
-Path reconstruction descends the exact cost-to-goal values with the same
-lowest-index tie rule the incremental planner uses, so on identical
-inputs both produce identical runs, not just identical totals.
+fresh solve and both baselines run plain single-shot searches over the
+product adjacency so that agreement with the incremental planner is
+meaningful. Path reconstruction descends the exact cost-to-goal values
+with the same lowest-index tie rule the incremental planner uses, so on
+identical inputs both produce identical runs, not just identical totals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .planner import NoAcceptingRun, Run, RunFollower, SUFFIX, check_beta
@@ -64,40 +63,6 @@ def lex_dijkstra(succ_of, sources, targets=None, parents=None):
 def _fwd(pa):
     succ = pa.succ
     return lambda u: succ[u].items()
-
-
-@dataclass
-class OracleResult:
-    prefix: list[tuple]
-    loops: list[tuple]
-    best_index: int | None
-    best_total: tuple
-    pops: int = 0
-
-
-def dijkstra_oracle(pa, start, beta: int) -> OracleResult:
-    """Exact best prefix+loop total by exhaustive per-accepting-state search.
-
-    `start` may be a single product state or a list of candidate starts
-    (multiple automaton initial states) entered at zero cost.
-    """
-    sources = list(start) if isinstance(start, (list, tuple)) else [start]
-    pre, pops = lex_dijkstra(_fwd(pa), sources)
-    prefix = []
-    loops = []
-    best_index = None
-    best_total = INF_W
-    for k, acc in enumerate(pa.accepting):
-        pk = pre.get(acc, INF_W)
-        lk, lk_pops = loop_cost(pa, acc)
-        pops += lk_pops
-        prefix.append(pk)
-        loops.append(lk)
-        total = lasso_cost(pk, lk, beta)
-        if total < best_total:
-            best_total = total
-            best_index = k
-    return OracleResult(prefix, loops, best_index, best_total, pops)
 
 
 def loop_cost(pa, acc) -> tuple[tuple, int]:
@@ -260,7 +225,7 @@ def _descend(pa, values, start, closing, limit_slack: int = 10):
 class _FreshSolveReplanner(RunFollower):
     """What both baselines share: fresh solves whose pops are counted, failed or not."""
 
-    def __init__(self, pa, beta: int = 10, heuristic=None):
+    def __init__(self, pa, beta: int = 10):
         super().__init__()
         check_beta(beta)
         self.pa = pa
@@ -304,8 +269,8 @@ class LocalRevisionReplanner(_FreshSolveReplanner):
     to a full fresh solve when no valid rejoin exists.
     """
 
-    def __init__(self, pa, beta: int = 10, heuristic=None):
-        super().__init__(pa, beta, heuristic)
+    def __init__(self, pa, beta: int = 10):
+        super().__init__(pa, beta)
         self.fallbacks = 0
 
     def replan(self, mod) -> Run:

@@ -18,7 +18,7 @@ from importlib import resources
 from .hoa import HoaParseError, parse_nba_file
 from .planner import NoAcceptingRun
 from .product import build_product, build_relaxed_product
-from .simulate import (ALGORITHMS, TraceReport, simulate, write_trace_csv,
+from .simulate import (ALGORITHMS, MODES, TraceReport, simulate, write_trace_csv,
                        write_trace_json)
 from .world import load_scenario, random_map, scenario_from_dict
 from .wts import load_wts
@@ -96,6 +96,9 @@ def cmd_simulate(args) -> int:
     if args.beta < 1:
         print(f"error: --beta must be >= 1, got {args.beta}", file=sys.stderr)
         return EXIT_ERROR
+    if args.loops < 1:
+        print(f"error: --loops must be >= 1, got {args.loops}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         nba = _load_nba(args.nba)
         scenario = _scenario_for(args)
@@ -152,6 +155,12 @@ def cmd_bench(args) -> int:
             return 2
     if beta < 1:
         print("error: beta must be >= 1", file=sys.stderr)
+        return 2
+    if loops < 1:
+        print("error: loops must be >= 1", file=sys.stderr)
+        return 2
+    if mode not in MODES:
+        print(f"error: unknown mode {mode!r}", file=sys.stderr)
         return 2
     if any(s < 4 for s in sizes):
         print("error: sizes must be >= 4", file=sys.stderr)
@@ -246,7 +255,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("nba")
     p_sim.add_argument("scenario", help="scenario JSON path, or 'random' with --seed/--size")
     p_sim.add_argument("--beta", type=int, default=10)
-    p_sim.add_argument("--mode", choices=["plain", "relaxed", "auto"], default="plain")
+    p_sim.add_argument("--mode", choices=list(MODES), default="plain")
     p_sim.add_argument("--algo", choices=list(ALGORITHMS), default="ltl-dstar")
     p_sim.add_argument("--loops", type=int, default=1)
     p_sim.add_argument("--trace-out", help="write <prefix>.csv and <prefix>.json traces")

@@ -294,10 +294,6 @@ class NBA:
     def n_transitions(self) -> int:
         return len(self.transitions)
 
-    def delta(self, qm: int, bits: int) -> list[int]:
-        """Successor states of qm on input label `bits`."""
-        return [qn for qn, cubes in self._succ[qm].items() if cubes_enable(cubes, bits)]
-
     def pairs(self):
         """All (q_m, q_n) with at least one transition, in a stable order."""
         return [(qm, qn) for qm in range(self.n_states) for qn in sorted(self._succ[qm])]

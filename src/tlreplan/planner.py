@@ -32,18 +32,20 @@ solve. Past that budget the half-repaired search is dropped and the
 record is solved from scratch in place. Both end with the exact loop cost
 and the search `plan_initial` would build, so runs are unchanged.
 
-On grid workspaces every loop search is focused by its distance in the
-free product: the product over the belief WTS's cells, walls and hidden
-obstacles ignored, with one move of travel `h.step` to each 4-neighbour and
-only violation-free automaton moves. Sensing never changes a label and
-`replan` keeps every travel at or above `h.step`, so each violation-free
-product edge, now or later, is a free move at no lower cost; an edge that
-violates raises a key's first component and needs no bound. The free
-distance from the accepting state, the search's fixed start, is therefore
-admissible and consistent under every change kind. One breadth-first
-search per record gives it, and stops at the shortest free cycle through
-the accepting state: any state beyond that depth is given one step more,
-which keeps the bound consistent.
+On grid workspaces every search is focused by a distance in the free
+product (`free_product`): the product over the belief WTS's cells, walls
+and hidden obstacles ignored, with one move of travel `step`, the cheapest
+WTS edge when the planner is built, to each 4-neighbour and only
+violation-free automaton moves. Sensing never changes a label and `replan`
+keeps every travel at or above `step`, so each violation-free product edge,
+now or later, is a free move at no lower cost; an edge that violates raises
+a key's first component and needs no bound. Free distances are therefore
+admissible and consistent under every change kind. The main search reads
+`step` times the Manhattan distance between cells. Each loop search reads
+the free distance from its accepting state, the search's fixed start: one
+breadth-first search per record gives it, and stops at the shortest free
+cycle through the accepting state; any state beyond that depth is given
+one step more, which keeps the bound consistent.
 
 Runs stay identical to a search over exact loop costs. The final path
 closes through an exact loop, so its total is exact, and since every other
@@ -83,8 +85,8 @@ class NoAcceptingRun(Exception):
 
 
 class ReweightBelowStepError(ValueError):
-    """A change set sets an edge's travel below the heuristic's step (`h.step`),
-    which would make the heuristic inadmissible."""
+    """A change set sets an edge's travel below the free product's step, which
+    would make the heuristics inadmissible."""
 
 
 class EdgeOutsideGridError(ValueError):
@@ -151,11 +153,17 @@ class FreeProduct:
     4-neighbours and its WTS edges): j's first product state, and per
     automaton state the automaton states a violation-free move into j can
     reach. That table is shared by cells with one label.
+
+    `bound(a, b)` is the main search's heuristic: `step` times the
+    Manhattan distance between the cells of a and b. The synthetic start
+    (id `n`) sits on the start cell; every higher id is a virtual goal and
+    reads 0.
     """
 
     def __init__(self, pa, step: int):
         wts = pa.wts
         nq = pa.nq
+        n = pa.n_states
         index = {cell: i for i, cell in enumerate(wts.coords)}
         by_label = {bits: pa.clean_moves(bits) for bits in set(wts.labels)}
         entry = [(j * nq, by_label[bits]) for j, bits in enumerate(wts.labels)]
@@ -165,8 +173,19 @@ class FreeProduct:
             near.discard(None)
             self.adj.append([entry[j] for j in sorted(near | wts.succ[i].keys())])
         self.nq = nq
-        self.n = pa.n_states
+        self.n = n
         self.step = step
+        # step * row and step * col per product state, then the synthetic start
+        cells = [wts.coords[s // nq] for s in range(n)] + [wts.coords[pa.initial[0] // nq]]
+        rows = [step * r for r, _ in cells]
+        cols = [step * c for _, c in cells]
+
+        def bound(a: int, b: int) -> int:
+            if a > n or b > n:
+                return 0
+            return abs(rows[a] - rows[b]) + abs(cols[a] - cols[b])
+
+        self.bound = bound
 
     def has_move(self, u: int, v: int) -> bool:
         qm = u % self.nq
@@ -217,6 +236,15 @@ class FreeProduct:
         return h
 
 
+def free_product(pa) -> FreeProduct | None:
+    """The free product of a grid product; None off the grid or without a finite edge."""
+    wts = pa.wts
+    if wts.coords is None:
+        return None
+    step = min((d for _, _, d in wts.edges() if d != INF), default=0)
+    return FreeProduct(pa, step) if step else None
+
+
 class RunFollower:
     """Cursor over the active run: prefix once, then the loop forever."""
 
@@ -265,7 +293,7 @@ class RunFollower:
 class LTLDStarPlanner(RunFollower):
     """Incremental optimal planner for prefix-suffix runs."""
 
-    def __init__(self, pa, beta: int = 10, heuristic=None):
+    def __init__(self, pa, beta: int = 10):
         super().__init__()
         check_beta(beta)
         self.pa = pa
@@ -273,9 +301,7 @@ class LTLDStarPlanner(RunFollower):
         n = pa.n_states
         self.synth_start = n
         self.global_img = n + 1
-        self._base_h = heuristic
-        step = getattr(heuristic, "step", 0)
-        self._free = FreeProduct(pa, step) if step and pa.wts.coords is not None else None
+        self._free = free_product(pa)
         self.records: list[SuffixRecord] = []
         self._rec_by_acc: dict[int, SuffixRecord] = {}
         self.main: SearchInstance | None = None
@@ -284,27 +310,6 @@ class LTLDStarPlanner(RunFollower):
 
     def _start_state(self) -> int:
         return self.pa.initial[0] if len(self.pa.initial) == 1 else self.synth_start
-
-    # -- heuristic wrapping ----------------------------------------------------
-
-    @property
-    def _h(self):
-        """Grid heuristics already map virtual ids to zero; the synthetic
-        start additionally aliases to the first concrete initial state."""
-        base = self._base_h
-        if base is None or len(self.pa.initial) == 1:
-            return base
-        synth = self.synth_start
-        alias = self.pa.initial[0]
-
-        def h(a: int, b: int) -> int:
-            if a == synth:
-                a = alias
-            if b == synth:
-                b = alias
-            return base(a, b)
-
-        return h
 
     # -- suffix searches ---------------------------------------------------------
 
@@ -391,15 +396,14 @@ class LTLDStarPlanner(RunFollower):
             raise RuntimeError("plan_initial must run before replan")
         if not mod:
             return self.run
-        step = getattr(self._base_h, "step", 0)
-        low = [ch for ch in mod if ch.weight[1] < step]
-        if low:
-            raise ReweightBelowStepError(
-                f"edge {low[0].u}->{low[0].v} travel {low[0].weight[1]} is below the "
-                f"heuristic's step {step}; the product was left unchanged")
         succ = self.pa.succ
         free = self._free
         if free is not None:
+            low = [ch for ch in mod if ch.weight[1] < free.step]
+            if low:
+                raise ReweightBelowStepError(
+                    f"edge {low[0].u}->{low[0].v} travel {low[0].weight[1]} is below the "
+                    f"heuristic's step {free.step}; the product was left unchanged")
             off = [ch for ch in mod if ch.v not in succ[ch.u] and ch.weight[0] == 0
                    and not free.has_move(ch.u, ch.v)]
             if off:
@@ -463,8 +467,9 @@ class LTLDStarPlanner(RunFollower):
             graph.add_virtual(self.synth_start)
             for s0 in self.pa.initial:
                 graph.set_extra(self.synth_start, s0, (0, 0))
+        bound = None if self._free is None else self._free.bound
         self.main = SearchInstance(graph, start=start, goal=self.global_img,
-                                   heuristic=self._h, counter=self._counter)
+                                   heuristic=bound, counter=self._counter)
 
     def _extract_run(self, path: list[int] | None) -> Run:
         if path is None:

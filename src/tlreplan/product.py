@@ -55,8 +55,7 @@ class ProductAutomaton:
         self.nq = nba.n_states
         self.n_states = wts.n_states * nba.n_states
 
-        self._plain_pairs: dict[int, list] = {}
-        self._relaxed_pairs: dict[int, list] = {}
+        self._pairs: dict[int, list] = {}  # label bits -> pairs, for this product's mode
         self._pair_cubes = [(qm, qn, nba.pair_cubes(qm, qn)) for qm, qn in nba.pairs()]
 
         nq = self.nq
@@ -94,18 +93,15 @@ class ProductAutomaton:
 
     def _pairs_for_label(self, bits: int) -> list:
         """(q_m, q_n, violation) triples applicable to a destination label."""
-        if self.mode == PLAIN:
-            pairs = self._plain_pairs.get(bits)
-            if pairs is None:
+        pairs = self._pairs.get(bits)
+        if pairs is None:
+            if self.mode == PLAIN:
                 pairs = [(qm, qn, 0) for qm, qn, cubes in self._pair_cubes
                          if cubes_enable(cubes, bits)]
-                self._plain_pairs[bits] = pairs
-            return pairs
-        pairs = self._relaxed_pairs.get(bits)
-        if pairs is None:
-            pairs = [(qm, qn, cubes_distance(cubes, bits)) for qm, qn, cubes in self._pair_cubes
-                     if cubes]
-            self._relaxed_pairs[bits] = pairs
+            else:
+                pairs = [(qm, qn, cubes_distance(cubes, bits))
+                         for qm, qn, cubes in self._pair_cubes if cubes]
+            self._pairs[bits] = pairs
         return pairs
 
     def clean_moves(self, bits: int) -> list[list[int]]:

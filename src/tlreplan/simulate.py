@@ -18,13 +18,13 @@ from .baselines import IterativeReplanner, LocalRevisionReplanner
 from .planner import LTLDStarPlanner, NoAcceptingRun
 from .product import PLAIN, RELAXED, build_product, build_relaxed_product
 from .weights import INF
-from .world import (GridScenario, initial_belief, make_grid_heuristic, sense,
-                    to_wts)
+from .world import GridScenario, initial_belief, sense, to_wts
 
 ALGO_LTL_DSTAR = "ltl-dstar"
 ALGO_ITERATIVE = "iterative"
 ALGO_LOCAL = "local-revision"
 ALGORITHMS = (ALGO_LTL_DSTAR, ALGO_ITERATIVE, ALGO_LOCAL)
+MODES = (PLAIN, RELAXED, "auto")
 
 CSV_HEADER = ["event", "phase", "mod_size", "wall_time_ns", "expansions",
               "total_violation", "total_travel"]
@@ -143,7 +143,7 @@ def build_world(scenario: GridScenario, nba, mode: str):
 
 def make_planner(algo: str, pa, beta: int):
     if algo == ALGO_LTL_DSTAR:
-        return LTLDStarPlanner(pa, beta, heuristic=make_grid_heuristic(pa))
+        return LTLDStarPlanner(pa, beta)
     if algo == ALGO_ITERATIVE:
         return IterativeReplanner(pa, beta)
     if algo == ALGO_LOCAL:
@@ -155,6 +155,10 @@ def simulate(scenario: GridScenario, nba, beta: int = 10, mode: str = PLAIN,
              algo: str = ALGO_LTL_DSTAR, loops: int = 1,
              replan_hook=None, record: bool = False) -> TraceReport:
     """Run one full mission; mode 'auto' plans on the relaxed product."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; pick one of {MODES}")
+    if loops < 1:
+        raise ValueError(f"loops must be a positive integer, got {loops}")
     build_mode = RELAXED if mode in (RELAXED, "auto") else PLAIN
     belief, pa = build_world(scenario, nba, build_mode)
     planner = make_planner(algo, pa, beta)

@@ -58,8 +58,8 @@ class GridScenario:
 
     def __post_init__(self):
         if self.move_cost < 1 or self.bump_cost < self.move_cost:
-            # the grid heuristic's step is the cheapest edge at planner
-            # construction; a revealed bump below it would break admissibility
+            # the planner's step is the cheapest edge when it is built; a
+            # revealed bump below it would break its heuristics' admissibility
             raise ValueError(f"need 1 <= move_cost <= bump_cost, got move_cost="
                              f"{self.move_cost} and bump_cost={self.bump_cost}")
         for cell in [self.start, *self.obstacles, *self.bumps]:
@@ -188,35 +188,6 @@ def _in_edge_events(scenario, belief, cell, kind, weight) -> list[ChangeEvent]:
     return events
 
 
-def make_grid_heuristic(pa):
-    """Admissible travel estimate: cheapest step cost times Manhattan distance.
-
-    The step is fixed at the cheapest WTS edge when this is called and
-    exposed as `h.step`. Every later reweight must stay at or above it, or
-    the estimate overshoots and the incremental search can return wrong
-    costs or fail to extract a path. `GridScenario` guarantees this for its
-    revealed bumps; `LTLDStarPlanner.replan` rejects a change set that
-    breaks it with `ReweightBelowStepError`.
-    """
-    coords = pa.wts.coords
-    if coords is None:
-        return None
-    step = min((d for _, _, d in pa.wts.edges() if d != INF), default=0)
-    nq = pa.nq
-    n = pa.n_states
-    # step * row and step * col per product state: step >= 0, so it factors out of abs
-    rows = [step * coords[s // nq][0] for s in range(n)]
-    cols = [step * coords[s // nq][1] for s in range(n)]
-
-    def h(a: int, b: int) -> int:
-        if a >= n or b >= n:
-            return 0
-        return abs(rows[a] - rows[b]) + abs(cols[a] - cols[b])
-
-    h.step = step
-    return h
-
-
 # ---------------------------------------------------------------------------
 # Scenario I/O
 
@@ -233,20 +204,6 @@ def scenario_from_dict(data: dict) -> GridScenario:
         move_cost=data.get("move_cost", 10),
         bump_cost=data.get("bump_cost", 50),
     )
-
-
-def scenario_to_dict(scenario: GridScenario) -> dict:
-    return {
-        "width": scenario.width,
-        "height": scenario.height,
-        "walls": sorted(sorted(pair) for pair in scenario.walls),
-        "obstacles": sorted(scenario.obstacles),
-        "bumps": sorted(scenario.bumps),
-        "regions": {name: sorted(cells) for name, cells in sorted(scenario.regions.items())},
-        "start": list(scenario.start),
-        "move_cost": scenario.move_cost,
-        "bump_cost": scenario.bump_cost,
-    }
 
 
 def load_scenario(path) -> GridScenario:

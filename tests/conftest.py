@@ -1,17 +1,18 @@
 import random
 import time
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
 
 import pytest
 
-from tlreplan.baselines import solve_fresh
+from tlreplan.baselines import lex_dijkstra, loop_cost, solve_fresh
 from tlreplan.dstar import SearchInstance
-from tlreplan.hoa import parse_nba_file
+from tlreplan.hoa import cubes_enable, parse_nba_file
 from tlreplan.planner import NoAcceptingRun
 from tlreplan.product import PLAIN, RELAXED, ProductAutomaton, dist_bits
 from tlreplan.simulate import ALGO_ITERATIVE, EventRow, TraceReport, build_world
-from tlreplan.weights import INF, INF_W
+from tlreplan.weights import INF, INF_W, lasso_cost
 from tlreplan.world import GridScenario
 
 ASSETS = Path(__file__).resolve().parent.parent / "src" / "tlreplan" / "assets"
@@ -189,11 +190,64 @@ def chi(nba, qm: int, qn: int) -> set:
     return {nba.universe.label_from_bits(b) for b in chi_bits(nba, qm, qn)}
 
 
+def delta(nba, qm: int, bits: int) -> list[int]:
+    """Successor states of qm on input label `bits`."""
+    return [qn for m, qn in nba.pairs() if m == qm and cubes_enable(nba.pair_cubes(qm, qn), bits)]
+
+
+def scenario_to_dict(scenario: GridScenario) -> dict:
+    """The JSON form `world.scenario_from_dict` reads."""
+    return {
+        "width": scenario.width,
+        "height": scenario.height,
+        "walls": sorted(sorted(pair) for pair in scenario.walls),
+        "obstacles": sorted(scenario.obstacles),
+        "bumps": sorted(scenario.bumps),
+        "regions": {name: sorted(cells) for name, cells in sorted(scenario.regions.items())},
+        "start": list(scenario.start),
+        "move_cost": scenario.move_cost,
+        "bump_cost": scenario.bump_cost,
+    }
+
+
 def reverse_dijkstra_cost(graph, goal):
     """Independent cost-to-goal map: lexicographic Dijkstra over reversed edges."""
-    from tlreplan.baselines import lex_dijkstra
     dist, _ = lex_dijkstra(lambda u: graph.pred_items(u), [goal])
     return dist
+
+
+@dataclass
+class OracleResult:
+    prefix: list[tuple]
+    loops: list[tuple]
+    best_index: int | None
+    best_total: tuple
+    pops: int = 0
+
+
+def dijkstra_oracle(pa, start, beta: int) -> OracleResult:
+    """Exact best prefix+loop total by exhaustive per-accepting-state search.
+
+    `start` may be a single product state or a list of candidate starts
+    (multiple automaton initial states) entered at zero cost.
+    """
+    sources = list(start) if isinstance(start, (list, tuple)) else [start]
+    pre, pops = lex_dijkstra(lambda u: pa.succ[u].items(), sources)
+    prefix = []
+    loops = []
+    best_index = None
+    best_total = INF_W
+    for k, acc in enumerate(pa.accepting):
+        pk = pre.get(acc, INF_W)
+        lk, lk_pops = loop_cost(pa, acc)
+        pops += lk_pops
+        prefix.append(pk)
+        loops.append(lk)
+        total = lasso_cost(pk, lk, beta)
+        if total < best_total:
+            best_total = total
+            best_index = k
+    return OracleResult(prefix, loops, best_index, best_total, pops)
 
 
 def unpack(pa: ProductAutomaton, s: int) -> tuple[int, int]:
@@ -283,9 +337,9 @@ def solve_fresh_reference(pa, start, beta: int):
     is descended along it, and the loop is descended along a separate
     backward search from the chosen state's closing predecessors.
     """
-    from tlreplan.baselines import _descend, lex_dijkstra
+    from tlreplan.baselines import _descend
     from tlreplan.planner import Run
-    from tlreplan.weights import lasso_cost, path_weight
+    from tlreplan.weights import path_weight
 
     def bwd(u):
         return [(p, pa.succ[p][u]) for p in pa.pred[u]]

@@ -11,18 +11,16 @@ import statistics
 
 import pytest
 
-from conftest import (ASSETS, apply_edge_changes, chi_bits, random_weighted_graph,
-                      replay_iterative, reverse_dijkstra_cost)
-from tlreplan.baselines import dijkstra_oracle
+from conftest import (ASSETS, apply_edge_changes, chi_bits, delta, dijkstra_oracle,
+                      random_weighted_graph, replay_iterative, reverse_dijkstra_cost)
 from tlreplan.dstar import SearchInstance
 from tlreplan.hoa import parse_nba, parse_nba_file
 from tlreplan.labels import APUniverse, Label, rho, zeta
-from tlreplan.planner import LTLDStarPlanner
+from tlreplan.planner import LTLDStarPlanner, free_product
 from tlreplan.product import build_product, build_relaxed_product, dist_bits
 from tlreplan.simulate import simulate
 from tlreplan.weights import INF_W
-from tlreplan.world import (Belief, GridScenario, initial_belief,
-                            load_scenario, make_grid_heuristic, random_map,
+from tlreplan.world import (Belief, GridScenario, initial_belief, load_scenario, random_map,
                             to_wts)
 
 INF = math.inf
@@ -229,7 +227,7 @@ def test_criterion_6_dstar_property_suite(seq_nba):
         belief = initial_belief(scn)
         wts = to_wts(scn, belief, seq_nba.universe)
         pa = build_product(wts, seq_nba)
-        h = make_grid_heuristic(pa)
+        h = free_product(pa).bound
         start = pa.initial[0]
         for u in range(pa.n_states):
             hu = h(start, u)
@@ -359,7 +357,7 @@ def test_criterion_7_violation_metric_suite():
         rng = random.Random(8000 + i)
         n_props = rng.randint(2, 6)
         nba = _nba_with_guard(_random_guard_text(rng, n_props), n_props)
-        via_delta = {b for b in range(1 << n_props) if 1 in nba.delta(0, b)}
+        via_delta = {b for b in range(1 << n_props) if 1 in delta(nba, 0, b)}
         chi_ok &= set(chi_bits(nba, 0, 1)) == via_delta
 
     _report(7, "violation metric axioms, dist invariance, chi enumeration",

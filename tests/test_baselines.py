@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from conftest import (bellman_ford, random_weighted_graph, solve_fresh_reference,
-                      visit_in_order_hoa)
+from conftest import (bellman_ford, dijkstra_oracle, random_weighted_graph,
+                      solve_fresh_reference, visit_in_order_hoa)
 from tlreplan import baselines
-from tlreplan.baselines import (IterativeReplanner, LocalRevisionReplanner,
-                                dijkstra_oracle, lex_dijkstra, loop_cost, solve_fresh)
+from tlreplan.baselines import (IterativeReplanner, LocalRevisionReplanner, lex_dijkstra,
+                                loop_cost, solve_fresh)
 from tlreplan.hoa import parse_nba
 from tlreplan.planner import LTLDStarPlanner, NoAcceptingRun
 from tlreplan.product import build_product, build_relaxed_product

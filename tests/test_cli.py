@@ -104,6 +104,13 @@ def test_simulate_nonpositive_beta_is_input_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("loops", ["0", "-2"])
+def test_simulate_nonpositive_loops_is_input_error(loops, capsys):
+    assert main(["simulate", SEQ, MAP_A, "--loops", loops]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: --loops must be >= 1, got {loops}")
+
+
 def test_simulate_bump_cheaper_than_move_is_input_error(tmp_path, capsys):
     data = json.loads((ASSETS / "bench_map_a.json").read_text())
     data["bump_cost"] = 2
@@ -174,6 +181,18 @@ class TestBench:
         assert main(["bench", str(path)]) == 2
         path, _ = self._config(tmp_path, beta=0)
         assert main(["bench", str(path)]) == 2
+
+    @pytest.mark.parametrize("loops", [0, -2])
+    def test_bench_nonpositive_loops_usage_error(self, tmp_path, capsys, loops):
+        path, cfg = self._config(tmp_path, loops=loops)
+        assert main(["bench", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: loops must be >= 1")
+        assert not (tmp_path / "bench.csv").exists()
+
+    def test_bench_unknown_mode_usage_error(self, tmp_path, capsys):
+        path, _ = self._config(tmp_path, mode="relaxd")
+        assert main(["bench", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown mode 'relaxd'")
 
     def test_bench_unknown_algorithm(self, tmp_path, capsys):
         path, _ = self._config(tmp_path, algorithms=["a-star"])

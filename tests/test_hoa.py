@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chi, chi_bits
+from conftest import chi, chi_bits, delta
 from tlreplan.hoa import (MAX_GUARD_CUBES, GAnd, GNot, GOr, GProp, GTrue, GuardTooLargeError,
                           HoaParseError, UnsupportedHoaError, parse_nba, parse_guard)
 from tlreplan.product import dist_bits
@@ -202,7 +202,7 @@ def test_cubes_match_enumeration_oracle(case):
     assert bool(cubes) == bool(enabling)
     distance = _hamming_to_set(n_props, enabling)
     for bits in range(1 << n_props):
-        assert (1 in nba.delta(0, bits)) == (distance.get(bits) == 0), (text, bits)
+        assert (1 in delta(nba, 0, bits)) == (distance.get(bits) == 0), (text, bits)
         if enabling:
             assert dist_bits(nba, 0, 1, bits) == distance[bits], (text, bits)
 
@@ -230,4 +230,4 @@ def test_guard_at_the_bound_and_wide_disjunctions_compile():
     # only the negation of a wide disjunction of conjunctions blows up
     wide = _mk_nba(_pairs("|", "&", 32), n_props=64)
     assert len(wide.pair_cubes(0, 1)) == 32
-    assert 1 in wide.delta(0, 0b11 << 62)
+    assert 1 in delta(wide, 0, 0b11 << 62)

@@ -2,18 +2,20 @@ import copy
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
-from conftest import ASSETS
+from conftest import ASSETS, dijkstra_oracle
 
-from tlreplan.baselines import dijkstra_oracle, lex_dijkstra, loop_cost, solve_fresh
+from tlreplan.baselines import lex_dijkstra, loop_cost, solve_fresh
 from tlreplan.hoa import parse_nba, parse_nba_file
 from tlreplan.planner import (PREFIX, REPAIR_SHARE, SUFFIX, EdgeOutsideGridError,
                               LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError, Run,
-                              total_cost)
+                              free_product, total_cost)
 from tlreplan.product import PAEdgeChange, build_product, build_relaxed_product
-from tlreplan.world import (Belief, ChangeEvent, initial_belief, load_scenario,
-                            make_grid_heuristic, random_map, sense, to_wts)
+from tlreplan.simulate import simulate
+from tlreplan.world import (Belief, ChangeEvent, initial_belief, load_scenario, random_map,
+                            sense, to_wts)
 from tlreplan.wts import load_wts
 from tlreplan.wts import WTS
 
@@ -33,6 +35,7 @@ class TinyPA:
         self.accepting = list(accepting)
         self.initial = list(initial)
         self.mode = "plain"
+        self.wts = SimpleNamespace(coords=None)  # no grid, so no free product
 
     def apply_changes(self, mod):
         created = []
@@ -357,7 +360,7 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
     rng, pa, wall_i, wall_j = _lazy_case(seq_nba, seed, relaxed)
     wts = pa.wts
     travel = {(i, j): d for i, j, d in wts.edges()}
-    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    planner = LTLDStarPlanner(pa, beta=10)
     planner.plan_initial()
     seen = {"stale": False, "lowered": False, "created": False, "suffix": False,
             "abandoned": False}
@@ -447,7 +450,7 @@ def test_deferred_rescans_accumulate_until_a_lowering_batch(relaxed):
     wts = to_wts(scn, belief, nba.universe)
     belief.attach(wts)
     pa = (build_relaxed_product if relaxed else build_product)(wts, nba)
-    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    planner = LTLDStarPlanner(pa, beta=10)
     planner.plan_initial()
     cell = belief.cell_index
     target, wall_nb = cell[4, 0], cell[5, 0]
@@ -530,8 +533,8 @@ def test_reweight_below_heuristic_step_is_rejected(seq_nba, seed, relaxed):
     and gives the from-scratch optimum.
     """
     _rng, pa, _, _ = _lazy_case(seq_nba, seed, relaxed)
-    h = make_grid_heuristic(pa)
-    planner = LTLDStarPlanner(pa, beta=10, heuristic=h)
+    step = free_product(pa).step
+    planner = LTLDStarPlanner(pa, beta=10)
     planner.plan_initial()
     states = planner.run.states()
     i, j = states[0] // pa.nq, states[1] // pa.nq
@@ -540,8 +543,8 @@ def test_reweight_below_heuristic_step_is_rejected(seq_nba, seed, relaxed):
         planner.replan(pa.map_wts_change(ChangeEvent("reweight", i, j, 1)))
     assert (pa.succ, pa.pred) == before
     # every edge down to the step: the cheapest admissible drop
-    mod = [ch for a, b, d in pa.wts.edges() if d not in (INF, h.step)
-           for ch in pa.map_wts_change(ChangeEvent("reweight", a, b, h.step))]
+    mod = [ch for a, b, d in pa.wts.edges() if d not in (INF, step)
+           for ch in pa.map_wts_change(ChangeEvent("reweight", a, b, step))]
     start = planner.current_state
     run = planner.replan(mod)
     fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
@@ -555,7 +558,7 @@ def _ring_planner(seq_nba, relaxed, phase):
     wts = to_wts(scn, belief, seq_nba.universe)
     belief.attach(wts)
     pa = (build_relaxed_product if relaxed else build_product)(wts, seq_nba)
-    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    planner = LTLDStarPlanner(pa, beta=10)
     run = planner.plan_initial()
     for _ in range(1 if phase == PREFIX else len(run.prefix)):
         planner.advance()
@@ -620,7 +623,7 @@ def test_blocked_run_loop_is_solved_again_from_scratch(seq_nba, relaxed):
     wts = to_wts(scn, belief, seq_nba.universe)
     belief.attach(wts)
     pa = (build_relaxed_product if relaxed else build_product)(wts, seq_nba)
-    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    planner = LTLDStarPlanner(pa, beta=10)
     run = planner.plan_initial()
     rec = planner._rec_by_acc[run.accepting]
     old, spent = rec.instance, rec.instance.expansions
@@ -657,7 +660,7 @@ def _grid_map_planner(seq_nba, name, relaxed):
     wts = to_wts(scn, belief, seq_nba.universe)
     belief.attach(wts)
     pa = (build_relaxed_product if relaxed else build_product)(wts, seq_nba)
-    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    planner = LTLDStarPlanner(pa, beta=10)
     planner.plan_initial()
     index = belief.cell_index
     walls = [(index[a], index[b]) for a, b in map(tuple, scn.walls)
@@ -714,11 +717,74 @@ def test_loop_heuristic_admissible_and_consistent(seq_nba, name, relaxed):
         planner.advance()
 
 
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+def test_grid_heuristic_is_step_times_manhattan(seq_nba, relaxed):
+    """The main search's bound: step times Manhattan distance between cells.
+
+    The step is the cheapest edge, `move_cost`. The synthetic start (id n)
+    reads as the start cell, and every virtual goal (ids above n) reads 0.
+    """
+    scn = load_scenario(ASSETS / "bench_map_a.json")
+    wts = to_wts(scn, initial_belief(scn), seq_nba.universe)
+    pa = (build_relaxed_product if relaxed else build_product)(wts, seq_nba)
+    free = free_product(pa)
+    h = free.bound
+    assert free.step == min(d for _, _, d in wts.edges() if d != INF) == scn.move_cost
+    cells = [wts.coords[s // pa.nq] for s in range(pa.n_states)]
+    for a, ca in enumerate(cells):
+        for b, cb in enumerate(cells):
+            assert h(a, b) == free.step * (abs(ca[0] - cb[0]) + abs(ca[1] - cb[1]))
+    n = pa.n_states
+    start = pa.initial[0]
+    for s in range(n):
+        assert (h(n, s), h(s, n)) == (h(start, s), h(s, start))
+    assert h(n, n) == 0
+    for a, b in [(n - 1, n + 1), (n + 2, n + 3), (n, n + 1), (n + 1, n)]:
+        assert h(a, b) == 0
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+@pytest.mark.parametrize("name", GRID_MAPS)
+def test_synthetic_start_runs_match_fresh_solve(seq_nba_anchored, name, relaxed):
+    """Two automaton start states put the main search on the synthetic start.
+
+    The bound is consistent on every finite edge out of it, and after the
+    initial plan and every replan of a mission the run equals `solve_fresh`
+    on a copy of the product.
+    """
+    scn = load_scenario(ASSETS / f"{name}.json")
+    runs = []
+
+    def hook(kind, planner, run, mod):
+        pa = planner.pa
+        synth = planner.synth_start
+        if kind == "initial":
+            assert len(pa.initial) == 2 and planner.main.start == synth
+            h = planner.main.h
+            out = planner.main.graph.extra_succ[synth]
+            assert sorted(out) == sorted(pa.initial)
+            for v, (_wv, wt) in out.items():
+                for a in range(synth + 1):
+                    assert abs(h(a, v) - h(a, synth)) <= wt
+                    assert abs(h(v, a) - h(synth, a)) <= wt
+        sources = list(pa.initial) if kind == "initial" else [planner.current_state]
+        if run is None:
+            with pytest.raises(NoAcceptingRun):
+                solve_fresh(copy.deepcopy(pa), sources, planner.beta)
+            return
+        fresh, _ = solve_fresh(copy.deepcopy(pa), sources, planner.beta)
+        assert (run.prefix, run.suffix, run.total) == (fresh.prefix, fresh.suffix, fresh.total)
+        runs.append(kind)
+
+    simulate(scn, seq_nba_anchored, mode="relaxed" if relaxed else "plain", replan_hook=hook)
+    assert runs[0] == "initial" and len(runs) > 1
+
+
 def test_waypoint_graph_loop_searches_stay_unfocused():
     """Without cell coordinates there is no free product and no loop heuristic."""
     nba = parse_nba_file(ASSETS / "delivery_sequence.hoa")
     pa = build_product(load_wts(ASSETS / "delivery_6x6.json", nba.universe), nba)
-    planner = LTLDStarPlanner(pa, beta=10, heuristic=make_grid_heuristic(pa))
+    planner = LTLDStarPlanner(pa, beta=10)
     planner.plan_initial()
     assert all(rec.h is None for rec in planner.records)
 

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import sys
 
-from conftest import ASSETS, replay_iterative
+import pytest
+
+from conftest import ASSETS, dijkstra_oracle, replay_iterative
 from tlreplan.simulate import CSV_HEADER, simulate, write_trace_csv, write_trace_json
 from tlreplan.world import load_scenario, random_map
 
@@ -16,6 +19,18 @@ def test_no_hidden_objects_zero_replans(seq_nba):
     assert rep.events == []
     assert rep.loops_done == 1
     assert rep.traversed_violation == 0
+
+
+@pytest.mark.parametrize("kwargs, bad", [({"mode": "relaxd"}, "'relaxd'"),
+                                          ({"loops": 0}, "got 0"), ({"loops": -2}, "got -2")])
+def test_simulate_rejects_bad_mode_or_loops_before_building(seq_nba, monkeypatch, kwargs, bad):
+    def build_world(*args):
+        raise AssertionError("built a world for a rejected mission")
+
+    # the package exports the function `simulate`, which shadows its module
+    monkeypatch.setattr(sys.modules["tlreplan.simulate"], "build_world", build_world)
+    with pytest.raises(ValueError, match=bad):
+        simulate(random_map(3, 6, 0.0), seq_nba, **kwargs)
 
 
 def test_traversed_cost_equals_executed_edge_weights(seq_nba):
@@ -134,7 +149,6 @@ def _replay_case(seq_nba, seed):
 def test_midrun_infeasibility_agrees_with_oracle(seq_nba):
     # becoming stuck is legitimate: the remaining sequence can be blocked
     # from the robot's progress state; the oracle must agree it is stuck
-    from tlreplan.baselines import dijkstra_oracle
     scn = random_map(12, 10, 0.35, nba=seq_nba)
     outcome = {}
 
@@ -149,7 +163,6 @@ def test_midrun_infeasibility_agrees_with_oracle(seq_nba):
 
 
 def test_benchmark_map_a_every_replan_matches_oracle(seq_nba):
-    from tlreplan.baselines import dijkstra_oracle
     from tlreplan.world import load_scenario
     scn = load_scenario(ASSETS / "bench_map_a.json")
     failures = []

@@ -2,13 +2,14 @@ import math
 
 import pytest
 
+from conftest import scenario_to_dict
 from tlreplan.baselines import solve_fresh
 from tlreplan.labels import APUniverse
 from tlreplan.planner import NoAcceptingRun
-from tlreplan.product import build_product, build_relaxed_product
+from tlreplan.product import build_product
 from tlreplan.world import (Belief, ChangeEvent, GridScenario, _ground_truth_feasible,
-                            initial_belief, load_scenario, make_grid_heuristic, random_map,
-                            scenario_from_dict, scenario_to_dict, sense, to_wts)
+                            initial_belief, load_scenario, random_map, scenario_from_dict,
+                            sense, to_wts)
 
 INF = math.inf
 U = APUniverse(("a", "b", "c", "d"))
@@ -120,8 +121,8 @@ class TestSense:
 
 @pytest.mark.parametrize("move_cost, bump_cost", [(10, 2), (10, 9), (0, 50), (0, 0)])
 def test_scenario_rejects_a_bump_cheaper_than_a_move(move_cost, bump_cost):
-    # the grid heuristic fixes its step at the cheapest edge when the planner
-    # is built, so a revealed bump below it would make the heuristic overshoot
+    # the planner fixes its step at the cheapest edge when it is built, so a
+    # revealed bump below it would make its heuristics overshoot
     with pytest.raises(ValueError, match=f"move_cost={move_cost} and bump_cost={bump_cost}"):
         _empty(6, move_cost=move_cost, bump_cost=bump_cost)
 
@@ -194,20 +195,3 @@ def test_shipped_scenarios_load():
                  "ring_unique", "suffix_blockage"):
         scn = load_scenario(ASSETS / f"{name}.json")
         assert set(scn.regions) == {"a", "b", "c", "d"}
-
-
-@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
-def test_grid_heuristic_is_step_times_manhattan(seq_nba, relaxed):
-    from conftest import ASSETS
-    scn = load_scenario(ASSETS / "bench_map_a.json")
-    wts = to_wts(scn, initial_belief(scn), seq_nba.universe)
-    pa = (build_relaxed_product if relaxed else build_product)(wts, seq_nba)
-    h = make_grid_heuristic(pa)
-    assert h.step == min(d for _, _, d in wts.edges() if d != INF) == scn.move_cost
-    cells = [wts.coords[s // pa.nq] for s in range(pa.n_states)]
-    for a, ca in enumerate(cells):
-        for b, cb in enumerate(cells):
-            assert h(a, b) == h.step * (abs(ca[0] - cb[0]) + abs(ca[1] - cb[1]))
-    n = pa.n_states
-    for a, b in [(0, n), (n, 0), (n - 1, n + 1), (n + 2, n + 3), (n, n)]:
-        assert h(a, b) == 0
