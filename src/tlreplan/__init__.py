@@ -7,6 +7,7 @@ from .planner import (EdgeOutsideGridError, LTLDStarPlanner, NoAcceptingRun,
                       ReweightBelowStepError, Run, total_cost)
 from .product import ProductAutomaton, build_product, build_relaxed_product
 from .simulate import TraceReport, simulate
+from .weights import WeightRangeError
 from .world import GridScenario, load_scenario, random_map, sense, to_wts
 from .wts import WTS, load_wts
 
@@ -14,7 +15,7 @@ __all__ = [
     "APUniverse", "APUniverseError", "EdgeOutsideGridError", "GridScenario", "GuardTooLargeError",
     "HoaParseError", "Label", "LTLDStarPlanner", "NBA", "NoAcceptingRun",
     "ProductAutomaton", "ReweightBelowStepError", "Run", "TraceReport",
-    "UnsupportedHoaError", "WTS",
+    "UnsupportedHoaError", "WTS", "WeightRangeError",
     "build_product", "build_relaxed_product", "load_scenario", "load_wts",
     "parse_nba", "parse_nba_file", "random_map", "rho",
     "sense", "simulate", "to_wts", "total_cost", "xi", "zeta",

@@ -10,63 +10,71 @@ identical inputs both produce identical runs, not just identical totals.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .planner import NoAcceptingRun, Run, RunFollower, SUFFIX, check_beta
-from .weights import INF, INF_W, lasso_cost, path_weight
+from .weights import INF, path_weight, unpack
 
 
-def lex_dijkstra(succ_of, sources, targets=None, parents=None):
-    """Lexicographic (violation, travel) Dijkstra from multiple sources.
+def _settle(adj, tentative: dict, parents=None, goals=()):
+    """Dijkstra over a packed adjacency: yields (cost, state) in settling order.
 
-    `succ_of(u)` yields (v, (violation, travel)) pairs. Sources are states,
-    or (state, weight) pairs to seed nonzero starting costs. Stops early
-    once every target is settled. A state is pushed only when its
+    `adj[u]` maps each neighbour of u to its packed weight, so `pa.out`
+    searches forward and `pa.pred` backward. `tentative` holds the seeds'
+    costs and is updated in place; a state is pushed only when its
     tentative cost improves, and a popped entry worse than that cost is
-    skipped. Returns ({state: weight}, pop count); a given `parents` dict
-    receives (best cost, predecessor) for every state reached by an edge.
+    skipped. A given `parents` dict receives each improved state's
+    predecessor. With `goals`, the search ends once the frontier is no
+    cheaper than the cheapest goal reached.
     """
-    dist: dict = {}
-    tentative: dict = {}  # state -> (cost, predecessor or None for a seed)
     heap = []
-    for s in sources:
-        s, w = s if isinstance(s, tuple) else (s, (0, 0))
-        if s not in tentative or w < tentative[s][0]:
-            tentative[s] = (w, None)
-            heappush(heap, (w, s))
-    remaining = set(targets) if targets is not None else None
-    pops = 0
+    for s, w in tentative.items():
+        heappush(heap, (w, s))
+    best = min((tentative[t] for t in goals if t in tentative), default=INF)
     while heap:
         d, u = heappop(heap)
-        if d > tentative[u][0]:
+        if d >= best:
+            return
+        if d > tentative[u]:
             continue
+        yield d, u
+        for v, w in adj[u].items():
+            cand = d + w
+            if cand < tentative.get(v, INF):
+                tentative[v] = cand
+                heappush(heap, (cand, v))
+                if parents is not None:
+                    parents[v] = u
+                if cand < best and v in goals:
+                    best = cand
+
+
+def lex_dijkstra(adj, sources, targets=None, parents=None):
+    """Lexicographic Dijkstra over a packed adjacency from multiple sources.
+
+    Sources are states, or (state, packed weight) pairs to seed nonzero
+    starting costs. Stops early once every target is settled. Returns
+    ({state: packed cost}, pop count); a given `parents` dict receives the
+    predecessor of every state reached by an edge (`_settle`).
+    """
+    tentative: dict = {}
+    for s in sources:
+        s, w = s if isinstance(s, tuple) else (s, 0)
+        if w < tentative.get(s, INF):
+            tentative[s] = w
+    remaining = set(targets) if targets is not None else None
+    dist: dict = {}
+    for d, u in _settle(adj, tentative, parents):
         dist[u] = d
-        pops += 1
         if remaining is not None:
             remaining.discard(u)
             if not remaining:
                 break
-        dv, dt = d
-        for v, (wv, wt) in succ_of(u):
-            if wt == INF:
-                continue
-            cand = (dv + wv, dt + wt)
-            t = tentative.get(v)
-            if t is None or cand < t[0]:
-                tentative[v] = (cand, u)
-                heappush(heap, (cand, v))
-    if parents is not None:
-        parents.update((v, t) for v, t in tentative.items() if t[1] is not None)
-    return dist, pops
+    return dist, len(dist)
 
 
-def _fwd(pa):
-    succ = pa.succ
-    return lambda u: succ[u].items()
-
-
-def loop_cost(pa, acc) -> tuple[tuple, int]:
-    """Cheapest cycle through `acc`, with the count of settled states.
+def loop_cost(pa, acc) -> tuple:
+    """Packed cost of the cheapest cycle through `acc`, with the count of settled states.
 
     A backward search from the closing predecessors (`_backward`); a state
     without a finite closing edge costs no pops.
@@ -76,12 +84,11 @@ def loop_cost(pa, acc) -> tuple[tuple, int]:
 
 
 def _closing(pa, acc) -> dict:
-    """Weight of each finite edge into `acc`, by its tail."""
-    succ = pa.succ
-    return {p: w for p in pa.pred[acc] for w in [succ[p][acc]] if w[1] != INF}
+    """Packed weight of each finite edge into `acc`, by its tail."""
+    return {p: w for p, w in pa.pred[acc].items() if w != INF}
 
 
-def _backward(pa, seeds: dict, targets, prefix=None, bound=INF_W, beta: int = 1):
+def _backward(pa, seeds: dict, targets, prefix=None, bound=INF, beta: int = 1):
     """Dijkstra backward from weighted seeds until the cheapest target's cost is known.
 
     The search stops once the frontier is no cheaper than the cheapest
@@ -95,36 +102,16 @@ def _backward(pa, seeds: dict, targets, prefix=None, bound=INF_W, beta: int = 1)
     the cheapest cycle through `acc`. With a `prefix` weight, it is
     abandoned once `prefix + beta * frontier` exceeds `bound`, since no
     target is cheaper than the frontier. Returns (the target's cost,
-    tentative costs, pops); the cost is INF_W when no target is reachable
-    and None when the search was abandoned.
+    tentative costs, pops), all packed; the cost is INF when no target is
+    reachable and None when the search was abandoned.
     """
-    succ = pa.succ
-    pred = pa.pred
     tentative = dict(seeds)
-    heap = [(w, s) for s, w in tentative.items()]
-    heapify(heap)
-    best = min((tentative[t] for t in targets if t in tentative), default=INF_W)
     pops = 0
-    while heap:
-        d, u = heappop(heap)
-        if d >= best:
-            break
-        if d > tentative[u]:
-            continue
-        if prefix is not None and lasso_cost(prefix, d, beta) > bound:
+    for d, _u in _settle(pa.pred, tentative, goals=targets):
+        if prefix is not None and prefix + beta * d > bound:
             return None, tentative, pops
         pops += 1
-        dv, dt = d
-        for p in pred[u]:
-            wv, wt = succ[p][u]
-            if wt == INF:
-                continue
-            cand = (dv + wv, dt + wt)
-            if cand < tentative.get(p, INF_W):
-                tentative[p] = cand
-                heappush(heap, (cand, p))
-                if cand < best and p in targets:
-                    best = cand
+    best = min((tentative[t] for t in targets if t in tentative), default=INF)
     return best, tentative, pops
 
 
@@ -163,10 +150,10 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
         i += 1
     rest = live[i:]
     if rest:
-        prefix, p = lex_dijkstra(_fwd(pa), sources)
+        prefix, p = lex_dijkstra(pa.out, sources)
         pops += p
-        best = min((lasso_cost(prefix[acc], cost, beta)
-                    for acc, (cost, _) in loops.items() if acc in prefix), default=INF_W)
+        best = min((prefix[acc] + beta * cost
+                    for acc, (cost, _) in loops.items() if acc in prefix), default=INF)
         for acc in sorted((acc for acc in rest if acc in prefix), key=prefix.__getitem__):
             if prefix[acc] > best:
                 break
@@ -174,14 +161,13 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
             pops += p
             if cost is not None:
                 loops[acc] = (cost, values)
-                best = min(best, lasso_cost(prefix[acc], cost, beta))
-    loops_scaled = {acc: lasso_cost((0, 0), cost, beta)
-                    for acc, (cost, _) in loops.items() if cost[1] != INF}
+                best = min(best, prefix[acc] + beta * cost)
+    loops_scaled = {acc: beta * cost for acc, (cost, _) in loops.items() if cost != INF}
     if not loops_scaled:
         raise NoAcceptingRun("no accepting state has a finite loop", pops)
     best_d, total_d, p = _backward(pa, loops_scaled, set(sources))
     pops += p
-    if best_d[1] == INF:
+    if best_d == INF:
         raise NoAcceptingRun("no accepting state is reachable with a finite loop", pops)
     best_src = min(s for s in sources if total_d.get(s) == best_d)
 
@@ -189,32 +175,31 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
     acc = prefix[-1]
     lk, values = loops[acc]
     loop = _descend(pa, values, acc, closing[acc]) + [acc]
-    pk = path_weight(pa.succ, prefix)
-    return Run(prefix, loop, acc, pk, lk, lasso_cost(pk, lk, beta)), pops
+    pk = path_weight(pa.out, prefix)
+    return Run(prefix, loop, acc, unpack(pk), unpack(lk), unpack(pk + beta * lk)), pops
 
 
 def _descend(pa, values, start, closing, limit_slack: int = 10):
-    """Greedy walk along exact cost-to-goal values; stops where closing wins."""
+    """Greedy walk along exact packed cost-to-goal values; stops where closing wins."""
     path = [start]
     s = start
+    out = pa.out
     limit = 2 * pa.n_states + limit_slack
     while True:
         close = closing.get(s)
-        best = None
+        best = INF
         best_v = -1
-        for v, (wv, wt) in pa.succ[s].items():
-            if wt == INF:
+        for v, w in out[s].items():
+            dv = values.get(v)
+            if dv is None:
                 continue
-            dv = values.get(v, INF_W)
-            if dv[1] == INF:
-                continue
-            cand = (wv + dv[0], wt + dv[1])
-            if best is None or cand < best or (cand == best and v < best_v):
+            cand = w + dv
+            if cand < best or (cand == best and v < best_v):
                 best = cand
                 best_v = v
-        if close is not None and (best is None or close < best):
+        if close is not None and close < best:
             return path
-        if best is None:
+        if best_v < 0:
             raise RuntimeError(f"dead end at {s} during path reconstruction")
         s = best_v
         path.append(s)
@@ -295,11 +280,12 @@ class LocalRevisionReplanner(_FreshSolveReplanner):
             segment = old.prefix
         if not candidates:
             return None
+        out = self.pa.out
         parents: dict = {}
-        dist, pops = lex_dijkstra(_fwd(self.pa), [cur],
-                                  targets={segment[i] for i in candidates}, parents=parents)
+        dist, pops = lex_dijkstra(out, [cur], targets={segment[i] for i in candidates},
+                                  parents=parents)
         self.last_expansions += pops
-        best = INF_W
+        best = INF
         best_idx = None
         for idx in candidates:
             state = segment[idx]
@@ -307,7 +293,7 @@ class LocalRevisionReplanner(_FreshSolveReplanner):
             if d is None:
                 continue
             # the detour's cost, then the rest of the old segment
-            cand = lasso_cost(d, path_weight(self.pa.succ, segment[idx:]), 1)
+            cand = d + path_weight(out, segment[idx:])
             if cand < best:
                 best = cand
                 best_idx = idx
@@ -321,18 +307,19 @@ class LocalRevisionReplanner(_FreshSolveReplanner):
         else:
             new_suffix = list(old.suffix)
             prefix = detour + old.prefix[best_idx + 1:]
-        prefix_cost = path_weight(self.pa.succ, prefix)
-        suffix_cost = path_weight(self.pa.succ, new_suffix)
-        total = lasso_cost(prefix_cost, suffix_cost, self.beta)
-        if total[1] == INF:
+        prefix_cost = path_weight(out, prefix)
+        suffix_cost = path_weight(out, new_suffix)
+        total = prefix_cost + self.beta * suffix_cost
+        if total == INF:
             return None
-        return Run(prefix, new_suffix, old.accepting, prefix_cost, suffix_cost, total)
+        return Run(prefix, new_suffix, old.accepting, unpack(prefix_cost), unpack(suffix_cost),
+                   unpack(total))
 
 
 def _walk_parents(parents, state, sources):
     path = [state]
     while state not in sources:
-        state = parents[state][1]
+        state = parents[state]
         path.append(state)
     path.reverse()
     return path

@@ -16,7 +16,7 @@ import sys
 from importlib import resources
 
 from .hoa import HoaParseError, parse_nba_file
-from .planner import NoAcceptingRun
+from .planner import NoAcceptingRun, check_beta
 from .product import build_product, build_relaxed_product
 from .simulate import (ALGORITHMS, MODES, TraceReport, simulate, write_trace_csv,
                        write_trace_json)
@@ -64,10 +64,10 @@ def cmd_build(args) -> int:
         else:
             from .world import Belief, to_wts
             wts = to_wts(scenario_from_dict(data), Belief(), nba.universe)
+        pa = build_product(wts, nba)
     except (ValueError, KeyError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    pa = build_product(wts, nba)
     stats = {
         "nba_states": nba.n_states,
         "nba_transitions": nba.n_transitions,
@@ -93,8 +93,10 @@ def _scenario_for(args):
 
 
 def cmd_simulate(args) -> int:
-    if args.beta < 1:
-        print(f"error: --beta must be >= 1, got {args.beta}", file=sys.stderr)
+    try:
+        check_beta(args.beta)
+    except ValueError as exc:
+        print(f"error: --beta: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.loops < 1:
         print(f"error: --loops must be >= 1, got {args.loops}", file=sys.stderr)
@@ -153,8 +155,10 @@ def cmd_bench(args) -> int:
         if algo not in ALGORITHMS:
             print(f"error: unknown algorithm {algo!r}", file=sys.stderr)
             return 2
-    if beta < 1:
-        print("error: beta must be >= 1", file=sys.stderr)
+    try:
+        check_beta(beta)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if loops < 1:
         print("error: loops must be >= 1", file=sys.stderr)

@@ -63,7 +63,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .dstar import OverlayGraph, SearchInstance
-from .weights import INF, lasso_cost, path_weight
+from .weights import BETA_CAP, INF, WeightRangeError, lasso_cost, pack, path_weight, unpack
 
 PREFIX = "prefix"
 SUFFIX = "suffix"
@@ -96,7 +96,10 @@ class EdgeOutsideGridError(ValueError):
 
 
 def check_beta(beta: int) -> None:
-    """Reject a suffix weighting below 1, which would discount the loop away."""
+    """Reject a suffix weighting below 1, which would discount the loop away, and
+    one the packed weights cannot scale exactly: not an int, or at or above BETA_CAP."""
+    if type(beta) is not int or beta >= BETA_CAP:
+        raise WeightRangeError(f"beta {beta!r} must be an int below {BETA_CAP}")
     if beta < 1:
         raise ValueError(f"beta must be a positive integer, got {beta}")
 
@@ -106,7 +109,7 @@ class Run:
     prefix: list[int]
     suffix: list[int]
     accepting: int
-    prefix_cost: tuple  # (violation, travel), like every weight
+    prefix_cost: tuple  # (violation, travel), unpacked from the searches
     suffix_cost: tuple
     total: tuple
 
@@ -127,7 +130,7 @@ class SuffixRecord:
     img: int
     graph: OverlayGraph
     instance: SearchInstance
-    cost: tuple
+    cost: int | float  # packed loop cost, INF without a loop
     fresh: int  # expansions of the last from-scratch solve; sets the repair budget
     loop: list[int] | None = field(default=None)
     stale: bool = False  # changes queued, search not run; cost is a lower bound
@@ -138,7 +141,7 @@ class SuffixRecord:
     def get_loop(self) -> list[int]:
         """Loop through the accepting state; extracted on demand."""
         if self.loop is None:
-            if self.cost[1] == INF:
+            if self.cost == INF:
                 self.loop = []
             else:
                 path = self.instance.extract_path(self.acc)
@@ -325,8 +328,7 @@ class LTLDStarPlanner(RunFollower):
     def _loop_heuristic(self, acc: int):
         """The free-product distance from `acc`; None off the grid, or while no
         finite edge enters `acc` (its search then expands only its goal)."""
-        pa = self.pa
-        if self._free is None or all(pa.succ[p][acc][1] == INF for p in pa.pred[acc]):
+        if self._free is None or all(w == INF for w in self.pa.pred[acc].values()):
             return None
         return self._free.heuristic(acc)
 
@@ -335,8 +337,8 @@ class LTLDStarPlanner(RunFollower):
         pa = self.pa
         graph = OverlayGraph(pa)
         graph.add_virtual(img)
-        for p in pa.pred[acc]:
-            graph.set_extra(p, img, pa.succ[p][acc])
+        for p, w in pa.pred[acc].items():
+            graph.set_extra(p, img, w)
         inst = SearchInstance(graph, start=acc, goal=img, heuristic=h, counter=self._counter)
         inst.compute_shortest_path()
         return graph, inst
@@ -344,9 +346,9 @@ class LTLDStarPlanner(RunFollower):
     def mark_stale(self, rec: SuffixRecord, mirrors, sources, force: bool = False):
         """Queue a change set in a loop search without searching.
 
-        `mirrors` are (u, weight) pairs of changed edges into the accepting
-        state, rewritten onto its imaginary goal; `sources` are the tails of
-        every changed edge. They join the record's pending sources, which
+        `mirrors` are (u, packed weight) pairs of changed edges into the
+        accepting state, rewritten onto its imaginary goal; `sources` are the
+        tails of every changed edge. They join the record's pending sources, which
         `repair_loop` rescans once: until then g does not move and a rescan
         reads the current weights, so one rescan equals one per change set.
         """
@@ -396,7 +398,7 @@ class LTLDStarPlanner(RunFollower):
             raise RuntimeError("plan_initial must run before replan")
         if not mod:
             return self.run
-        succ = self.pa.succ
+        out = self.pa.out
         free = self._free
         if free is not None:
             low = [ch for ch in mod if ch.weight[1] < free.step]
@@ -404,19 +406,19 @@ class LTLDStarPlanner(RunFollower):
                 raise ReweightBelowStepError(
                     f"edge {low[0].u}->{low[0].v} travel {low[0].weight[1]} is below the "
                     f"heuristic's step {free.step}; the product was left unchanged")
-            off = [ch for ch in mod if ch.v not in succ[ch.u] and ch.weight[0] == 0
+            off = [ch for ch in mod if ch.v not in out[ch.u] and ch.weight[0] == 0
                    and not free.has_move(ch.u, ch.v)]
             if off:
                 raise EdgeOutsideGridError(
                     f"new edge {off[0].u}->{off[0].v} is no free-product move; "
                     f"the product was left unchanged")
         before = self._expansion_total()
-        lowers = any(ch.v not in succ[ch.u] or ch.weight < succ[ch.u][ch.v] for ch in mod)
+        lowers = any(ch.v not in out[ch.u] or pack(ch.weight) < out[ch.u][ch.v] for ch in mod)
         created = self.pa.apply_changes(mod)
         sources = {ch.u for ch in mod}
         mirrors_by_acc: dict[int, list] = {}
         for ch in mod:
-            mirrors_by_acc.setdefault(ch.v, []).append((ch.u, ch.weight))
+            mirrors_by_acc.setdefault(ch.v, []).append((ch.u, out[ch.u][ch.v]))
         skip_ok = not created  # brand-new edges invalidate the untouched shortcut
         for rec in self.records:
             mirrors = mirrors_by_acc.get(rec.acc)
@@ -449,7 +451,7 @@ class LTLDStarPlanner(RunFollower):
         while True:
             main = self.main
             main.compute_shortest_path()
-            if main.cost_from()[1] == INF:
+            if main.cost_from() == INF:
                 return None
             path = main.extract_path()
             if not self.repair_loop(self._rec_by_acc[path[-2]]):
@@ -462,11 +464,11 @@ class LTLDStarPlanner(RunFollower):
         graph.add_virtual(self.global_img)
         beta = self.beta
         for rec in self.records:
-            graph.set_extra(rec.acc, self.global_img, lasso_cost((0, 0), rec.cost, beta))
+            graph.set_extra(rec.acc, self.global_img, beta * rec.cost)
         if start == self.synth_start:
             graph.add_virtual(self.synth_start)
             for s0 in self.pa.initial:
-                graph.set_extra(self.synth_start, s0, (0, 0))
+                graph.set_extra(self.synth_start, s0, 0)
         bound = None if self._free is None else self._free.bound
         self.main = SearchInstance(graph, start=start, goal=self.global_img,
                                    heuristic=bound, counter=self._counter)
@@ -480,9 +482,9 @@ class LTLDStarPlanner(RunFollower):
             prefix = prefix[1:]
         rec = self._rec_by_acc[acc]
         loop = list(rec.get_loop())
-        prefix_cost = path_weight(self.pa.succ, prefix)
-        run = Run(prefix, loop, acc, prefix_cost, rec.cost,
-                  lasso_cost(prefix_cost, rec.cost, self.beta))
+        prefix_cost = path_weight(self.pa.out, prefix)
+        run = Run(prefix, loop, acc, unpack(prefix_cost), unpack(rec.cost),
+                  unpack(prefix_cost + self.beta * rec.cost))
         self._set_run(run)
         return run
 

@@ -8,16 +8,18 @@ legal. That violation is the minimum, over the cubes `(pos, neg)` of the
 transition's guards, of `popcount(pos & ~bits) + popcount(neg & bits)` for
 the destination label `bits`: the exact Hamming distance to the nearest
 enabling label, found without listing the labels. Each product edge
-carries a (violation, travel) weight; deletions keep the edge with an
-infinite weight so incremental searches can treat them as cost changes.
+carries a packed (violation, travel) weight (see `weights`); deletions keep
+the edge with an infinite weight so incremental searches can treat them as
+cost changes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .hoa import NBA, cubes_distance, cubes_enable
-from .weights import INF, INF_W
+from .weights import INF, INF_W, SHIFT, check_states, check_travel, pack, unpack
 from .wts import WTS
 
 PLAIN = "plain"
@@ -41,8 +43,46 @@ def dist_bits(nba: NBA, qm: int, qn: int, label_bits: int) -> int:
     return cubes_distance(cubes, label_bits)
 
 
+class _WeightRow(Mapping):
+    """Read-only (violation, travel) view of one packed adjacency row."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row: dict):
+        self._row = row
+
+    def __getitem__(self, v):
+        return unpack(self._row[v])
+
+    def __iter__(self):
+        return iter(self._row)
+
+    def __len__(self):
+        return len(self._row)
+
+
+class WeightView(Sequence):
+    """Read-only (violation, travel) view of a packed adjacency: `view[u][v]`."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[dict]):
+        self._rows = rows
+
+    def __getitem__(self, u):
+        return _WeightRow(self._rows[u])
+
+    def __len__(self):
+        return len(self._rows)
+
+
 class ProductAutomaton:
-    """Adjacency-form product with both successor and predecessor lists."""
+    """Adjacency-form product: each edge's packed weight, by tail and by head.
+
+    `out[u]` maps each head v to the packed weight of u -> v, and `pred[v]`
+    maps each tail u to the same weight. `succ` is a read-only
+    (violation, travel) view of `out`, for callers outside the searches.
+    """
 
     def __init__(self, wts: WTS, nba: NBA, mode: str = PLAIN):
         if wts.universe != nba.universe:
@@ -54,26 +94,27 @@ class ProductAutomaton:
         self.mode = mode
         self.nq = nba.n_states
         self.n_states = wts.n_states * nba.n_states
+        check_states(self.n_states)
 
         self._pairs: dict[int, list] = {}  # label bits -> pairs, for this product's mode
         self._pair_cubes = [(qm, qn, nba.pair_cubes(qm, qn)) for qm, qn in nba.pairs()]
 
         nq = self.nq
-        succ: list[dict] = [{} for _ in range(self.n_states)]
-        pred: list[list] = [[] for _ in range(self.n_states)]
+        out: list[dict] = [{} for _ in range(self.n_states)]
+        pred: list[dict] = [{} for _ in range(self.n_states)]
         labels = wts.labels
         pairs_for = self._pairs_for_label
-        for i, out in enumerate(wts.succ):
+        for i, row in enumerate(wts.succ):
             base = i * nq
-            for j, d in out.items():
+            for j, d in row.items():
                 vbase = j * nq
                 for qm, qn, viol in pairs_for(labels[j]):
                     u = base + qm
                     v = vbase + qn
-                    succ[u][v] = INF_W if d == INF else (viol, d)
-                    pred[v].append(u)
-        self.succ = succ
+                    out[u][v] = pred[v][u] = viol + d  # INF stays INF
+        self.out = out
         self.pred = pred
+        self.succ = WeightView(out)
 
         self.initial = [pi * nq + q0 for pi in wts.init for q0 in nba.initial]
         self.accepting = [
@@ -87,19 +128,19 @@ class ProductAutomaton:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(out) for out in self.succ)
+        return sum(len(row) for row in self.out)
 
     # -- label/pair caches ---------------------------------------------------
 
     def _pairs_for_label(self, bits: int) -> list:
-        """(q_m, q_n, violation) triples applicable to a destination label."""
+        """(q_m, q_n, packed violation) triples applicable to a destination label."""
         pairs = self._pairs.get(bits)
         if pairs is None:
             if self.mode == PLAIN:
                 pairs = [(qm, qn, 0) for qm, qn, cubes in self._pair_cubes
                          if cubes_enable(cubes, bits)]
             else:
-                pairs = [(qm, qn, cubes_distance(cubes, bits))
+                pairs = [(qm, qn, cubes_distance(cubes, bits) << SHIFT)
                          for qm, qn, cubes in self._pair_cubes if cubes]
             self._pairs[bits] = pairs
         return pairs
@@ -127,14 +168,14 @@ class ProductAutomaton:
             new_travel = INF
         else:
             new_travel = change.weight
-            if new_travel is None or (new_travel != INF and new_travel < 1):
-                raise ValueError(f"bad weight {new_travel!r} for {change.kind}")
+            if new_travel != INF:
+                check_travel(new_travel, f"{change.kind} of {i}->{j}")
         nq = self.nq
         base = i * nq
         vbase = j * nq
         out = []
         for qm, qn, viol in self._pairs_for_label(self.wts.labels[j]):
-            w = INF_W if new_travel == INF else (viol, new_travel)
+            w = INF_W if new_travel == INF else (viol >> SHIFT, new_travel)
             out.append(PAEdgeChange(base + qm, vbase + qn, w))
         return out
 
@@ -145,15 +186,14 @@ class ProductAutomaton:
         workspace edge additions); incremental searches must not apply
         their sparse-update shortcut to those.
         """
-        succ = self.succ
+        out = self.out
         pred = self.pred
         created = []
         for ch in mod:
-            row = succ[ch.u]
+            row = out[ch.u]
             if ch.v not in row:
-                pred[ch.v].append(ch.u)
                 created.append(ch)
-            row[ch.v] = ch.weight
+            row[ch.v] = pred[ch.v][ch.u] = pack(ch.weight)
         return created
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .baselines import IterativeReplanner, LocalRevisionReplanner
 from .planner import LTLDStarPlanner, NoAcceptingRun
 from .product import PLAIN, RELAXED, build_product, build_relaxed_product
-from .weights import INF
+from .weights import INF, unpack
 from .world import GridScenario, initial_belief, sense, to_wts
 
 ALGO_LTL_DSTAR = "ltl-dstar"
@@ -186,7 +186,7 @@ def simulate(scenario: GridScenario, nba, beta: int = 10, mode: str = PLAIN,
     while report.loops_done < loops:
         cur = planner.current_state
         nxt = planner.peek_next()
-        wv, wt = pa.succ[cur][nxt]
+        wv, wt = unpack(pa.out[cur][nxt])
         if wt == INF:
             raise RuntimeError(f"run traverses a deleted edge {cur}->{nxt}")
         report.traversed_violation += wv

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .baselines import lex_dijkstra, loop_cost
 from .labels import APUniverse
 from .product import build_product
-from .weights import INF
+from .weights import INF, check_travel
 from .wts import WTS
 
 Cell = tuple[int, int]
@@ -62,6 +62,8 @@ class GridScenario:
             # revealed bump below it would break its heuristics' admissibility
             raise ValueError(f"need 1 <= move_cost <= bump_cost, got move_cost="
                              f"{self.move_cost} and bump_cost={self.bump_cost}")
+        check_travel(self.move_cost, "move_cost")
+        check_travel(self.bump_cost, "bump_cost")
         for cell in [self.start, *self.obstacles, *self.bumps]:
             self._check_bounds(cell)
         for cells in self.regions.values():
@@ -274,8 +276,8 @@ def _ground_truth_feasible(scenario: GridScenario, nba) -> bool:
     except ValueError:
         return False
     pa = build_product(wts, nba)
-    reachable, _ = lex_dijkstra(lambda u: pa.succ[u].items(), pa.initial)
-    return any(loop_cost(pa, acc)[0][1] != INF for acc in pa.accepting if acc in reachable)
+    reachable, _ = lex_dijkstra(pa.out, pa.initial)
+    return any(loop_cost(pa, acc)[0] != INF for acc in pa.accepting if acc in reachable)
 
 
 def _regions_connected(scenario: GridScenario) -> bool:

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .labels import APUniverse, APUniverseError
-from .weights import INF
+from .weights import INF, check_travel
 
 
 @dataclass
@@ -27,7 +27,7 @@ class WTS:
     n_states: int
     labels: list[int]                      # bit pattern per state
     init: list[int]
-    succ: list[dict[int, float]]           # state -> {succ: travel weight}
+    succ: list[dict[int, float]]           # state -> {succ: int travel, or INF}
     coords: list[tuple[int, int]] | None = None   # grid cell per state, if any
     names: list[str] | None = None                # external ids, if any
     _n_edges: int = field(default=0, repr=False)
@@ -41,8 +41,8 @@ class WTS:
             for j, d in out.items():
                 if not 0 <= j < self.n_states:
                     raise ValueError(f"edge {i}->{j} out of range")
-                if d != INF and d < 1:
-                    raise ValueError(f"edge {i}->{j} weight {d} must be >= 1")
+                if d != INF:
+                    check_travel(d, f"edge {i}->{j}")
         self._n_edges = sum(len(out) for out in self.succ)
 
     @property
@@ -91,7 +91,7 @@ def wts_from_json(data: dict, universe: APUniverse) -> WTS:
     succ: list[dict[int, float]] = [{} for _ in states]
     for edge in data["edges"]:
         i, j = index[edge["from"]], index[edge["to"]]
-        succ[i][j] = int(edge["weight"])
+        succ[i][j] = edge["weight"]  # checked by WTS, like every travel
 
     init = [index[sid] for sid in data["init"]]
     return WTS(universe, len(states), labels, init, succ, names=names)

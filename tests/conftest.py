@@ -12,7 +12,8 @@ from tlreplan.hoa import cubes_enable, parse_nba_file
 from tlreplan.planner import NoAcceptingRun
 from tlreplan.product import PLAIN, RELAXED, ProductAutomaton, dist_bits
 from tlreplan.simulate import ALGO_ITERATIVE, EventRow, TraceReport, build_world
-from tlreplan.weights import INF, INF_W, lasso_cost
+from tlreplan.weights import INF, pack, path_weight
+from tlreplan.weights import unpack as unpack_weight
 from tlreplan.world import GridScenario
 
 ASSETS = Path(__file__).resolve().parent.parent / "src" / "tlreplan" / "assets"
@@ -34,25 +35,26 @@ def seq_nba_32():
 
 
 class DictGraph:
-    """Plain adjacency graph implementing the engine's graph protocol."""
+    """Plain adjacency graph implementing the engine's graph protocol.
+
+    Like a product, it keeps each edge's packed weight by tail (`out`) and
+    by head (`pred`).
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.succ = [dict() for _ in range(n)]
-        self.pred = [[] for _ in range(n)]
+        self.out = [dict() for _ in range(n)]
+        self.pred = [dict() for _ in range(n)]
 
     def add_edge(self, u: int, v: int, w: tuple):
-        """Add an edge, or rewrite its weight if it exists."""
-        if v not in self.succ[u]:
-            self.pred[v].append(u)
-        self.succ[u][v] = w
+        """Add an edge of (violation, travel) weight `w`, or rewrite its weight if it exists."""
+        self.out[u][v] = self.pred[v][u] = pack(w)
 
     def succ_items(self, u: int):
-        return self.succ[u].items()
+        return self.out[u].items()
 
     def pred_items(self, u: int):
-        succ = self.succ
-        return [(p, succ[p][u]) for p in self.pred[u]]
+        return self.pred[u].items()
 
     def has_node(self, u: int) -> bool:
         return 0 <= u < self.n
@@ -61,8 +63,9 @@ class DictGraph:
         return self.n
 
     def edges(self):
-        for u, out in enumerate(self.succ):
-            for v, w in out.items():
+        """(u, v, packed weight) for every edge."""
+        for u, row in enumerate(self.out):
+            for v, w in row.items():
                 yield u, v, w
 
 
@@ -73,8 +76,8 @@ def apply_edge_changes(inst, changes):
     with `force=True` only when the batch creates an edge, so batches that
     rewrite existing edges exercise its skip of never-reached tails.
     """
-    succ = inst.graph.succ
-    created = any(v not in succ[u] for u, v, _w in changes)
+    out = inst.graph.out
+    created = any(v not in out[u] for u, v, _w in changes)
     sources = set()
     for u, v, w in changes:
         inst.graph.add_edge(u, v, w)
@@ -95,22 +98,23 @@ class RescanSearchInstance(SearchInstance):
         U, g, rhs = self.U, self.g, self.rhs
         while U:
             start_key = self.calculate_key(self.start)
-            if not (U[0][0] < start_key or g.get(self.start, INF_W) != rhs.get(self.start, INF_W)):
+            if not (U[0][:2] < start_key or g.get(self.start, INF) != rhs.get(self.start, INF)):
                 break
-            k_old, u = heappop(U)
+            k1, k2, u = heappop(U)
+            k_old = (k1, k2)
             k_new = self.calculate_key(u)
             if k_old < k_new:
-                if g.get(u, INF_W) != rhs.get(u, INF_W):
-                    heappush(U, (k_new, u))
+                if g.get(u, INF) != rhs.get(u, INF):
+                    heappush(U, (*k_new, u))
                 continue
-            gu = g.get(u, INF_W)
-            ru = rhs.get(u, INF_W)
+            gu = g.get(u, INF)
+            ru = rhs.get(u, INF)
             if k_old > k_new or gu == ru:
                 continue
             self.expansions += 1
             if self.pop_log is not None:
-                self.pop_log.append((k_old, u))
-            g[u] = ru if gu > ru else INF_W
+                self.pop_log.append((k1, k2, u))
+            g[u] = ru if gu > ru else INF
             for p, _w in self.graph.pred_items(u):
                 self.update_vertex(p)
             if gu < ru:
@@ -118,18 +122,16 @@ class RescanSearchInstance(SearchInstance):
 
 
 def bellman_ford(n_states, edges, sources):
-    """Naive lexicographic relaxation; cross-check for the oracle on small graphs."""
-    dist = {s: (0, 0) for s in sources}
+    """Naive relaxation over (u, v, packed weight) edges; cross-check for the oracle."""
+    dist = {s: 0 for s in sources}
     for _ in range(n_states - 1):
         changed = False
-        for u, v, (wv, wt) in edges:
-            if wt == INF:
-                continue
+        for u, v, w in edges:
             du = dist.get(u)
             if du is None:
                 continue
-            cand = (du[0] + wv, du[1] + wt)
-            if cand < dist.get(v, INF_W):
+            cand = du + w
+            if cand < dist.get(v, INF):
                 dist[v] = cand
                 changed = True
         if not changed:
@@ -139,7 +141,7 @@ def bellman_ford(n_states, edges, sources):
 
 def random_weighted_graph(rng: random.Random, n: int = 64, avg_degree: float = 3.0,
                           max_violation: int = 0, zero_violation_chain: bool = False):
-    """Random directed graph with (violation, travel) weights.
+    """Random directed graph with (violation, travel) weights, packed by `add_edge`.
 
     With zero_violation_chain, a 0 -> 1 -> ... -> n-1 chain of clean edges
     guarantees a violation-free route to the last node.
@@ -211,13 +213,15 @@ def scenario_to_dict(scenario: GridScenario) -> dict:
 
 
 def reverse_dijkstra_cost(graph, goal):
-    """Independent cost-to-goal map: lexicographic Dijkstra over reversed edges."""
-    dist, _ = lex_dijkstra(lambda u: graph.pred_items(u), [goal])
+    """Independent packed cost-to-goal map: lexicographic Dijkstra over reversed edges."""
+    dist, _ = lex_dijkstra(graph.pred, [goal])
     return dist
 
 
 @dataclass
 class OracleResult:
+    """Costs as (violation, travel) tuples, like a `Run`'s."""
+
     prefix: list[tuple]
     loops: list[tuple]
     best_index: int | None
@@ -232,22 +236,22 @@ def dijkstra_oracle(pa, start, beta: int) -> OracleResult:
     (multiple automaton initial states) entered at zero cost.
     """
     sources = list(start) if isinstance(start, (list, tuple)) else [start]
-    pre, pops = lex_dijkstra(lambda u: pa.succ[u].items(), sources)
+    pre, pops = lex_dijkstra(pa.out, sources)
     prefix = []
     loops = []
     best_index = None
-    best_total = INF_W
+    best_total = INF
     for k, acc in enumerate(pa.accepting):
-        pk = pre.get(acc, INF_W)
+        pk = pre.get(acc, INF)
         lk, lk_pops = loop_cost(pa, acc)
         pops += lk_pops
-        prefix.append(pk)
-        loops.append(lk)
-        total = lasso_cost(pk, lk, beta)
+        prefix.append(unpack_weight(pk))
+        loops.append(unpack_weight(lk))
+        total = pk + beta * lk
         if total < best_total:
             best_total = total
             best_index = k
-    return OracleResult(prefix, loops, best_index, best_total, pops)
+    return OracleResult(prefix, loops, best_index, unpack_weight(best_total), pops)
 
 
 def unpack(pa: ProductAutomaton, s: int) -> tuple[int, int]:
@@ -303,13 +307,12 @@ def loop_cost_reference(pa, acc):
 
     Settling a closing predecessor `p` offers the cycle `dist(p) + w(p, acc)`;
     the search stops once the frontier is no cheaper than the best cycle
-    offered. Returns (cost, settled-state count).
+    offered. Returns (packed cost, settled-state count).
     """
-    succ = pa.succ
-    closing = {p: w for p in pa.pred[acc] for w in [succ[p][acc]] if w[1] != INF}
-    best = INF_W
-    tentative = {acc: (0, 0)}
-    heap = [((0, 0), acc)] if closing else []
+    closing = {p: w for p, w in pa.pred[acc].items() if w != INF}
+    best = INF
+    tentative = {acc: 0}
+    heap = [(0, acc)] if closing else []
     pops = 0
     while heap:
         d, u = heappop(heap)
@@ -320,10 +323,10 @@ def loop_cost_reference(pa, acc):
         pops += 1
         w = closing.get(u)
         if w is not None:
-            best = min(best, (d[0] + w[0], d[1] + w[1]))
-        for v, (wv, wt) in succ[u].items():
-            cand = (d[0] + wv, d[1] + wt)
-            if wt != INF and cand < tentative.get(v, INF_W):
+            best = min(best, d + w)
+        for v, w in pa.out[u].items():
+            cand = d + w
+            if cand < tentative.get(v, INF):
                 tentative[v] = cand
                 heappush(heap, (cand, v))
     return best, pops
@@ -339,24 +342,22 @@ def solve_fresh_reference(pa, start, beta: int):
     """
     from tlreplan.baselines import _descend
     from tlreplan.planner import Run
-    from tlreplan.weights import path_weight
-
-    def bwd(u):
-        return [(p, pa.succ[p][u]) for p in pa.pred[u]]
 
     sources = list(start) if isinstance(start, (list, tuple)) else [start]
     loops = {acc: loop_cost_reference(pa, acc)[0] for acc in pa.accepting}
-    scaled = {acc: lasso_cost((0, 0), lk, beta) for acc, lk in loops.items() if lk[1] != INF}
+    scaled = {acc: beta * lk for acc, lk in loops.items() if lk != INF}
     if not scaled:
         raise NoAcceptingRun("no accepting state has a finite loop")
-    total, _ = lex_dijkstra(bwd, list(scaled.items()), targets=sources)
-    best_src = min(sources, key=lambda s: (total.get(s, INF_W), s))
-    if total.get(best_src, INF_W)[1] == INF:
+    total, _ = lex_dijkstra(pa.pred, list(scaled.items()), targets=sources)
+    best_src = min(sources, key=lambda s: (total.get(s, INF), s))
+    if total.get(best_src, INF) == INF:
         raise NoAcceptingRun("no accepting state is reachable with a finite loop")
     prefix = _descend(pa, total, best_src, scaled)
     acc = prefix[-1]
-    closing = {p: w for p in pa.pred[acc] for w in [pa.succ[p][acc]] if w[1] != INF}
-    dist, _ = lex_dijkstra(bwd, list(closing.items()), targets=[acc])
+    closing = {p: w for p, w in pa.pred[acc].items() if w != INF}
+    dist, _ = lex_dijkstra(pa.pred, list(closing.items()), targets=[acc])
     loop = _descend(pa, dist, acc, closing) + [acc]
-    pk = path_weight(pa.succ, prefix)
-    return Run(prefix, loop, acc, pk, loops[acc], lasso_cost(pk, loops[acc], beta))
+    pk = path_weight(pa.out, prefix)
+    lk = loops[acc]
+    return Run(prefix, loop, acc, unpack_weight(pk), unpack_weight(lk),
+               unpack_weight(pk + beta * lk))

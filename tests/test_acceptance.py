@@ -19,7 +19,7 @@ from tlreplan.labels import APUniverse, Label, rho, zeta
 from tlreplan.planner import LTLDStarPlanner, free_product
 from tlreplan.product import build_product, build_relaxed_product, dist_bits
 from tlreplan.simulate import simulate
-from tlreplan.weights import INF_W
+from tlreplan.weights import unpack
 from tlreplan.world import (Belief, GridScenario, initial_belief, load_scenario, random_map,
                             to_wts)
 
@@ -245,8 +245,9 @@ def test_criterion_6_dstar_property_suite(seq_nba):
                                   zero_violation_chain=True)
         inst = SearchInstance(g, start=0, goal=39, log_pops=True)
         inst.compute_shortest_path()
-        order_ok &= inst.cost_from()[0] == 0
-        order_ok &= all(key[2] == 0 for key, _ in inst.pop_log)
+        order_ok &= unpack(inst.cost_from())[0] == 0
+        # the key's violation is 0 for every expanded state
+        order_ok &= all(unpack(k2)[0] == 0 for _k1, k2, _ in inst.pop_log)
 
     # interleaved mutation/compute equals fresh search
     interleave_ok = True
@@ -266,7 +267,7 @@ def test_criterion_6_dstar_property_suite(seq_nba):
             apply_edge_changes(inst, batch)
             inst.compute_shortest_path()
         oracle = reverse_dijkstra_cost(g, 63)
-        interleave_ok &= inst.cost_from() == oracle.get(0, INF_W)
+        interleave_ok &= inst.cost_from() == oracle.get(0, INF)
 
     _report(6, "heuristic consistency, violation-first expansion, repair soundness",
             consistency_ok and order_ok and interleave_ok,

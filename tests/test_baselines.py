@@ -12,15 +12,18 @@ from tlreplan.hoa import parse_nba
 from tlreplan.planner import LTLDStarPlanner, NoAcceptingRun
 from tlreplan.product import build_product, build_relaxed_product
 from tlreplan.simulate import simulate
+from tlreplan.product import PAEdgeChange
+from tlreplan.weights import pack
 from tlreplan.world import Belief, ChangeEvent, GridScenario, initial_belief, random_map, to_wts
 
 INF = math.inf
 
 
 def test_lex_dijkstra_prefers_low_violation():
-    succ = {0: [(1, (1, 5)), (2, (0, 50))], 1: [(3, (0, 5))], 2: [(3, (0, 5))], 3: []}
-    dist, _ = lex_dijkstra(lambda u: succ[u], [0])
-    assert dist[3] == (0, 55)
+    out = {0: {1: pack((1, 5)), 2: pack((0, 50))}, 1: {3: pack((0, 5))}, 2: {3: pack((0, 5))},
+           3: {}}
+    dist, _ = lex_dijkstra(out, [0])
+    assert dist[3] == pack((0, 55))
 
 
 def test_lex_dijkstra_pushes_only_on_improvement(monkeypatch, seq_nba):
@@ -32,7 +35,7 @@ def test_lex_dijkstra_pushes_only_on_improvement(monkeypatch, seq_nba):
 
     def checked_push(heap, entry):
         cost, v = entry
-        assert cost < pushed.get(v, (INF, INF)), f"push {entry} after {pushed[v]}"
+        assert cost < pushed.get(v, INF), f"push {entry} after {pushed[v]}"
         pushed[v] = cost
         real_push(heap, entry)
 
@@ -41,28 +44,28 @@ def test_lex_dijkstra_pushes_only_on_improvement(monkeypatch, seq_nba):
         scn = random_map(seed, 6, 0.2, allow_infeasible=True, bump_density=0.2)
         for build in (build_product, build_relaxed_product):
             pa = build(to_wts(scn, Belief(), seq_nba.universe), seq_nba)
-            fwd = lambda u: pa.succ[u].items()
-            bwd = lambda u: [(p, pa.succ[p][u]) for p in pa.pred[u]]
-            edges = [(u, v, w) for u in range(pa.n_states) for v, w in pa.succ[u].items()]
+            edges = [(u, v, w) for u in range(pa.n_states) for v, w in pa.out[u].items()]
             pushed.clear()
-            dist, pops = lex_dijkstra(fwd, list(pa.initial))
+            dist, pops = lex_dijkstra(pa.out, list(pa.initial))
             assert pops == len(dist)
             assert dist == bellman_ford(pa.n_states, edges, list(pa.initial))
             pushed.clear()
-            dist, pops = lex_dijkstra(bwd, [(acc, (0, 10 * k))
-                                            for k, acc in enumerate(pa.accepting)])
+            dist, pops = lex_dijkstra(pa.pred, [(acc, pack((0, 10 * k)))
+                                                for k, acc in enumerate(pa.accepting)])
             assert pops == len(dist)
             pushed.clear()
             parents = {}
-            lex_dijkstra(fwd, [pa.initial[0]], targets=pa.accepting[:2], parents=parents)
-            assert all(pushed[v] == cost for v, (cost, _u) in parents.items())
+            dist, _ = lex_dijkstra(pa.out, [pa.initial[0]], targets=pa.accepting[:2],
+                                   parents=parents)
+            # each state's last push came through its recorded predecessor
+            assert all(pushed[v] == dist[u] + pa.out[u][v] for v, u in parents.items())
 
 
 def test_bellman_ford_agrees_with_dijkstra_on_random_graphs():
     for seed in range(20):
         rng = random.Random(seed)
         g = random_weighted_graph(rng, n=24, avg_degree=3.0, max_violation=2)
-        dist, _ = lex_dijkstra(lambda u: g.succ[u].items(), [0])
+        dist, _ = lex_dijkstra(g.out, [0])
         bf = bellman_ford(g.n, list(g.edges()), [0])
         for s in range(g.n):
             assert dist.get(s) == bf.get(s), f"seed {seed} state {s}"
@@ -75,9 +78,9 @@ def test_bellman_ford_agrees_with_dijkstra_on_scenarios(seq_nba):
         from tlreplan.world import Belief
         pa = build_product(to_wts(scn, Belief(), seq_nba.universe), seq_nba)
         edges = [(u, v, w) for u in range(pa.n_states)
-                 for v, w in pa.succ[u].items()]
+                 for v, w in pa.out[u].items()]
         sources = list(pa.initial)
-        dist, _ = lex_dijkstra(lambda u: pa.succ[u].items(), sources)
+        dist, _ = lex_dijkstra(pa.out, sources)
         bf = bellman_ford(pa.n_states, edges, sources)
         for s in range(pa.n_states):
             assert dist.get(s) == bf.get(s), f"seed {seed} state {s}"
@@ -89,17 +92,16 @@ def _loop_cost_by_full_search(pa, acc):
     Also returns how many finite closing edges start at a state unreachable
     from acc.
     """
-    dist, _ = lex_dijkstra(lambda u: pa.succ[u].items(), [acc])
-    best = (INF, INF)
+    dist, _ = lex_dijkstra(pa.out, [acc])
+    best = INF
     unreachable = 0
-    for p in pa.pred[acc]:
-        w = pa.succ[p][acc]
-        if w[1] == INF:
+    for p, w in pa.pred[acc].items():
+        if w == INF:
             continue
         if p not in dist:
             unreachable += 1
             continue
-        best = min(best, (dist[p][0] + w[0], dist[p][1] + w[1]))
+        best = min(best, dist[p] + w)
     return best, unreachable
 
 
@@ -118,9 +120,8 @@ class TestOracle:
         assert result.best_index is not None
         assert result.best_total[1] < INF
         # deleting every edge into the accepting states breaks all loops
-        for acc in pa.accepting:
-            for p in pa.pred[acc]:
-                pa.succ[p][acc] = (INF, INF)
+        pa.apply_changes([PAEdgeChange(p, acc, (INF, INF))
+                          for acc in pa.accepting for p in pa.pred[acc]])
         result2 = dijkstra_oracle(pa, [pa.sid(0, 0)], 10)
         assert result2.best_index is None
         assert result2.best_total == (INF, INF)
@@ -139,7 +140,7 @@ class TestOracle:
         from test_planner import TinyPA
         pa = TinyPA(2, [(0, 1, (0, 10))], accepting=[0], initial=[0])
         cost, pops = loop_cost(pa, 0)
-        assert cost == (INF, INF)
+        assert cost == INF
         assert pops == 0
 
     def test_loop_cost_matches_full_search_from_acc(self):
@@ -284,7 +285,7 @@ def test_solve_fresh_matches_reference(monkeypatch, seq_nba):
     searches = {"bounded": 0, "abandoned": 0}
     search = baselines._backward
 
-    def counted(pa, seeds, targets, prefix=None, bound=(INF, INF), beta=1):
+    def counted(pa, seeds, targets, prefix=None, bound=INF, beta=1):
         result = search(pa, seeds, targets, prefix, bound, beta)
         searches["bounded"] += prefix is not None
         searches["abandoned"] += result[0] is None
@@ -383,5 +384,5 @@ def test_failed_fresh_solve_reports_its_own_pops(cls):
     revision = 0
     if cls is LocalRevisionReplanner:
         assert planner.fallbacks == 1
-        revision = lex_dijkstra(lambda u: pa.succ[u].items(), [1], targets={2})[1]
+        revision = lex_dijkstra(pa.out, [1], targets={2})[1]
     assert planner.last_expansions == revision + failed.value.pops

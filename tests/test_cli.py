@@ -104,6 +104,11 @@ def test_simulate_nonpositive_beta_is_input_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_simulate_beta_at_its_cap_is_input_error(capsys):
+    assert main(["simulate", SEQ, MAP_A, "--beta", "65536"]) == 1
+    assert capsys.readouterr().err.startswith("error: --beta: beta 65536 must be an int below")
+
+
 @pytest.mark.parametrize("loops", ["0", "-2"])
 def test_simulate_nonpositive_loops_is_input_error(loops, capsys):
     assert main(["simulate", SEQ, MAP_A, "--loops", loops]) == 1
@@ -181,6 +186,9 @@ class TestBench:
         assert main(["bench", str(path)]) == 2
         path, _ = self._config(tmp_path, beta=0)
         assert main(["bench", str(path)]) == 2
+        path, _ = self._config(tmp_path, beta=2.5)
+        assert main(["bench", str(path)]) == 2
+        assert "beta 2.5 must be an int below" in capsys.readouterr().err
 
     @pytest.mark.parametrize("loops", [0, -2])
     def test_bench_nonpositive_loops_usage_error(self, tmp_path, capsys, loops):

@@ -7,7 +7,7 @@ import pytest
 from conftest import (DictGraph, RescanSearchInstance, apply_edge_changes, random_weighted_graph,
                       reverse_dijkstra_cost)
 from tlreplan.dstar import SearchInstance
-from tlreplan.weights import INF_W, path_weight
+from tlreplan.weights import INF_W, KM_CAP, pack, path_weight, unpack
 
 INF = math.inf
 
@@ -22,12 +22,13 @@ def _chain(weights):
 def test_initialize_state():
     g = _chain([10, 10])
     inst = SearchInstance(g, start=0, goal=2, heuristic=lambda a, b: 5 * abs(a - b))
-    assert inst.rhs[2] == (0, 0)
+    assert inst.rhs[2] == pack((0, 0))
     assert inst.g == {}
     assert len(inst.U) == 1
-    key, node = inst.U[0]
+    k1, k2, node = inst.U[0]
     assert node == 2
-    assert key == (0, 10, 0, 0)  # h(start, goal) enters the travel part only
+    # h(start, goal) enters the travel part only
+    assert (k1, k2) == (pack((0, 10)), pack((0, 0)))
     assert inst.km == 0
 
 
@@ -42,22 +43,22 @@ def test_initialize_rejects_unknown_states():
 def test_calculate_key_min_and_shift():
     g = _chain([10, 10])
     inst = SearchInstance(g, 0, 2)
-    inst.g[1] = (0, 30)
-    inst.rhs[1] = (0, 20)
-    assert inst.calculate_key(1) == (0, 20, 0, 20)
+    inst.g[1] = pack((0, 30))
+    inst.rhs[1] = pack((0, 20))
+    assert inst.calculate_key(1) == (pack((0, 20)), pack((0, 20)))
     inst.h = lambda a, b: 5
-    assert inst.calculate_key(1) == (0, 25, 0, 20)
+    assert inst.calculate_key(1) == (pack((0, 25)), pack((0, 20)))
     inst.km += 7
-    assert inst.calculate_key(1) == (0, 32, 0, 20)
+    assert inst.calculate_key(1) == (pack((0, 32)), pack((0, 20)))
 
 
 def test_key_violation_dominates_travel():
     g = _chain([10])
     inst = SearchInstance(g, 0, 1)
-    inst.g[0] = (1, 5)
-    inst.rhs[0] = (1, 5)
-    inst.g[1] = (0, 99)
-    inst.rhs[1] = (0, 99)
+    inst.g[0] = pack((1, 5))
+    inst.rhs[0] = pack((1, 5))
+    inst.g[1] = pack((0, 99))
+    inst.rhs[1] = pack((0, 99))
     assert inst.calculate_key(1) < inst.calculate_key(0)
 
 
@@ -65,7 +66,7 @@ def test_update_vertex_goal_keeps_zero_rhs():
     g = _chain([10])
     inst = SearchInstance(g, 0, 1)
     inst.update_vertex(1)
-    assert inst.rhs[1] == (0, 0)
+    assert inst.rhs[1] == pack((0, 0))
 
 
 def test_update_vertex_min_over_successors():
@@ -73,17 +74,17 @@ def test_update_vertex_min_over_successors():
     g.add_edge(0, 1, (1, 5))
     g.add_edge(0, 2, (0, 50))
     inst = SearchInstance(g, 0, 3)
-    inst.g[1] = (0, 0)
-    inst.g[2] = (0, 0)
+    inst.g[1] = pack((0, 0))
+    inst.g[2] = pack((0, 0))
     inst.update_vertex(0)
-    assert inst.rhs[0] == (0, 50)  # violation-first ordering
+    assert inst.rhs[0] == pack((0, 50))  # violation-first ordering
 
 
 def test_compute_chain():
     g = _chain([10, 10])
     inst = SearchInstance(g, 0, 2)
     inst.compute_shortest_path()
-    assert inst.cost_from() == (0, 20)
+    assert inst.cost_from() == pack((0, 20))
     assert inst.extract_path() == [0, 1, 2]
 
 
@@ -99,7 +100,7 @@ def test_compute_grid_manhattan():
     h = lambda a, b: 10 * (abs(a // n - b // n) + abs(a % n - b % n))
     inst = SearchInstance(g, start=0, goal=n * n - 1, heuristic=h)
     inst.compute_shortest_path()
-    assert inst.cost_from() == (0, 10 * (9 + 9))
+    assert inst.cost_from() == pack((0, 10 * (9 + 9)))
 
 
 def test_extract_path_tie_breaks_to_lowest_index():
@@ -128,7 +129,7 @@ def test_disconnection_yields_infinite_cost():
     inst.compute_shortest_path()
     apply_edge_changes(inst, [(1, 2, (0, INF))])
     inst.compute_shortest_path()
-    assert inst.cost_from() == INF_W
+    assert inst.cost_from() == INF
 
 
 def test_empty_change_set_is_noop():
@@ -152,6 +153,22 @@ def test_move_start_accumulates_km():
     assert inst.km == 10
 
 
+def test_km_cap_starts_the_search_over():
+    g = _chain([10, 10, 10])
+    inst = SearchInstance(g, 0, 3, heuristic=lambda a, b: 10 * abs(a - b))
+    inst.compute_shortest_path()
+    inst.km = KM_CAP - 11
+    inst.move_start(1)  # km reaches KM_CAP - 1: the search is kept
+    assert inst.km == KM_CAP - 1 and inst.g
+    inst.compute_shortest_path()
+    assert inst.cost_from() == pack((0, 20))
+    inst.move_start(2)  # km would reach KM_CAP + 9: the search starts over from 2
+    assert (inst.start, inst.km, inst.g, inst.rhs) == (2, 0, {}, {3: 0})
+    inst.compute_shortest_path()
+    assert inst.cost_from() == pack((0, 10))
+    assert inst.extract_path() == [2, 3]
+
+
 def test_oracle_equivalence_random_graphs():
     for seed in range(100):
         rng = random.Random(seed)
@@ -160,7 +177,7 @@ def test_oracle_equivalence_random_graphs():
         inst = SearchInstance(g, start=0, goal=63)
         inst.compute_shortest_path()
         oracle = reverse_dijkstra_cost(g, 63)
-        assert inst.cost_from() == oracle.get(0, INF_W), f"seed {seed}"
+        assert inst.cost_from() == oracle.get(0, INF), f"seed {seed}"
 
 
 def test_mutation_interleaving_matches_fresh_search():
@@ -185,7 +202,7 @@ def test_mutation_interleaving_matches_fresh_search():
             apply_edge_changes(inst, batch)
             inst.compute_shortest_path()
         oracle = reverse_dijkstra_cost(g, 63)
-        assert inst.cost_from() == oracle.get(0, INF_W), f"seed {seed}"
+        assert inst.cost_from() == oracle.get(0, INF), f"seed {seed}"
 
 
 def test_extracted_path_weight_equals_cost():
@@ -195,11 +212,11 @@ def test_extracted_path_weight_equals_cost():
         g = random_weighted_graph(rng, n=48, avg_degree=3.5, max_violation=2)
         inst = SearchInstance(g, start=0, goal=47)
         inst.compute_shortest_path()
-        if inst.cost_from()[1] == INF:
+        if inst.cost_from() == INF:
             continue
         path = inst.extract_path()
         assert path[0] == 0 and path[-1] == 47
-        assert path_weight(g.succ, path) == inst.cost_from(), f"seed {seed}"
+        assert path_weight(g.out, path) == inst.cost_from(), f"seed {seed}"
         checked += 1
         if checked >= 50:
             break
@@ -213,9 +230,9 @@ def test_zero_violation_states_expand_first():
                                   zero_violation_chain=True)
         inst = SearchInstance(g, start=0, goal=39, log_pops=True)
         inst.compute_shortest_path()
-        assert inst.cost_from()[0] == 0, f"seed {seed}: clean chain exists"
-        for key, _state in inst.pop_log:
-            assert key[2] == 0, f"seed {seed}: violating state expanded early"
+        assert unpack(inst.cost_from())[0] == 0, f"seed {seed}: clean chain exists"
+        for _k1, k2, _state in inst.pop_log:
+            assert unpack(k2)[0] == 0, f"seed {seed}: violating state expanded early"
 
 
 def test_start_move_plus_changes_still_optimal():
@@ -229,24 +246,24 @@ def test_start_move_plus_changes_still_optimal():
         edges = [(u, v) for u, v, _ in g.edges()]
         current = 0
         for _ in range(4):
-            if inst.cost_from(current)[1] == INF:
+            if inst.cost_from(current) == INF:
                 break
-            nxt = inst.extract_path(current)[1] if inst.cost_from(current) != (0, 0) else current
+            nxt = inst.extract_path(current)[1] if inst.cost_from(current) != 0 else current
             inst.move_start(nxt)
             current = nxt
             u, v = rng.choice(edges)
             apply_edge_changes(inst, [(u, v, (0, rng.randint(1, 9) * 10))])
             inst.compute_shortest_path()
             oracle = reverse_dijkstra_cost(g, 49)
-            assert inst.cost_from(current) == oracle.get(current, INF_W), f"seed {seed}"
+            assert inst.cost_from(current) == oracle.get(current, INF), f"seed {seed}"
 
 
 def _lookahead(inst, s):
-    best = INF_W
-    for v, (wv, wt) in inst.graph.succ_items(s):
-        gv = inst.g.get(v, INF_W)
-        if wt != INF and gv[1] != INF:
-            best = min(best, (gv[0] + wv, gv[1] + wt))
+    best = INF
+    for v, w in inst.graph.succ_items(s):
+        gv = inst.g.get(v, INF)
+        if w != INF and gv != INF:
+            best = min(best, gv + w)
     return best
 
 
@@ -255,7 +272,8 @@ def _random_batch(rng, g):
     edges = list(g.edges())
     batch = []
     for _ in range(rng.randint(1, 6)):
-        u, v, (wv, wt) = rng.choice(edges)
+        u, v, w = rng.choice(edges)
+        wv, wt = unpack(w)
         kind = rng.random()
         if kind < 0.3 and wt != INF:
             batch.append((u, v, (wv + rng.randint(0, 1), wt + rng.randint(1, 5) * 10)))
@@ -266,7 +284,7 @@ def _random_batch(rng, g):
             batch.append((u, v, INF_W))
         else:
             a, b = rng.randrange(g.n), rng.randrange(g.n)
-            if a != b and b not in g.succ[a]:
+            if a != b and b not in g.out[a]:
                 batch.append((a, b, (rng.randint(0, 2), rng.randint(1, 9) * 10)))
     return batch
 
@@ -290,7 +308,7 @@ def test_tightening_expansion_matches_rescan_reference(seed):
     Mixed change batches go through `apply_edge_changes` (forced only when an
     edge is created, as in the planner), interleaved with start moves under
     a consistent heuristic. After every search: each state's rhs is its
-    one-step lookahead (absent meaning INF_W), the start's cost equals a
+    one-step lookahead (absent meaning INF), the start's cost equals a
     reverse Dijkstra, and pops, g and rhs equal those of the reference that
     rescans every predecessor.
     """
@@ -303,12 +321,12 @@ def test_tightening_expansion_matches_rescan_reference(seed):
         inst.compute_shortest_path()
         ref.compute_shortest_path()
         for s in range(n - 1):
-            assert inst.rhs.get(s, INF_W) == _lookahead(inst, s), f"seed {seed} step {step} s {s}"
+            assert inst.rhs.get(s, INF) == _lookahead(inst, s), f"seed {seed} step {step} s {s}"
         oracle = reverse_dijkstra_cost(g, n - 1)
-        assert inst.cost_from() == oracle.get(inst.start, INF_W), f"seed {seed} step {step}"
+        assert inst.cost_from() == oracle.get(inst.start, INF), f"seed {seed} step {step}"
         assert inst.pop_log == ref.pop_log, f"seed {seed} step {step}"
         assert (inst.g, inst.rhs) == (ref.g, ref.rhs), f"seed {seed} step {step}"
-        if rng.random() < 0.5 and inst.cost_from()[1] != INF and inst.start != n - 1:
+        if rng.random() < 0.5 and inst.cost_from() != INF and inst.start != n - 1:
             nxt = inst.extract_path()[1]
             inst.move_start(nxt)
             ref.move_start(nxt)
@@ -346,7 +364,7 @@ def test_budget_stops_after_exactly_that_many_expansions(seed):
             assert (cut.pop_log, cut.g, cut.rhs) == (full.pop_log, full.g, full.rhs)
         assert inst.compute_shortest_path(budget=need + rng.randint(0, 3)) is True
         assert (inst.pop_log, inst.g, inst.rhs) == (full.pop_log, full.g, full.rhs)
-        if rng.random() < 0.5 and inst.cost_from()[1] != INF and inst.start != n - 1:
+        if rng.random() < 0.5 and inst.cost_from() != INF and inst.start != n - 1:
             inst.move_start(inst.extract_path()[1])
         apply_edge_changes(inst, _random_batch(rng, g))
 
@@ -362,7 +380,7 @@ def test_restored_edge_reaches_a_state_behind_it():
     g.add_edge(0, 1, INF_W)
     inst = SearchInstance(g, start=0, goal=1)
     inst.compute_shortest_path()
-    assert inst.cost_from() == INF_W
+    assert inst.cost_from() == INF
     apply_edge_changes(inst, [(0, 1, (0, 5))])
     inst.compute_shortest_path()
-    assert inst.cost_from() == (0, 5)
+    assert inst.cost_from() == pack((0, 5))

@@ -11,11 +11,13 @@ from tlreplan.baselines import lex_dijkstra, loop_cost, solve_fresh
 from tlreplan.hoa import parse_nba, parse_nba_file
 from tlreplan.planner import (PREFIX, REPAIR_SHARE, SUFFIX, EdgeOutsideGridError,
                               LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError, Run,
-                              free_product, total_cost)
-from tlreplan.product import PAEdgeChange, build_product, build_relaxed_product
+                              check_beta, free_product, total_cost)
+from tlreplan.product import (PAEdgeChange, ProductAutomaton, WeightView, build_product,
+                              build_relaxed_product)
 from tlreplan.simulate import simulate
 from tlreplan.world import (Belief, ChangeEvent, initial_belief, load_scenario, random_map,
                             sense, to_wts)
+from tlreplan.weights import BETA_CAP, KM_CAP, WeightRangeError, pack, unpack
 from tlreplan.wts import load_wts
 from tlreplan.wts import WTS
 
@@ -23,28 +25,25 @@ INF = math.inf
 
 
 class TinyPA:
-    """Hand-built product stand-in for exercising the planner mechanics."""
+    """Hand-built product stand-in for exercising the planner mechanics.
+
+    Edges are given with (violation, travel) weights and stored packed, as
+    in a product: by tail in `out`, by head in `pred`, viewed as tuples in
+    `succ`.
+    """
 
     def __init__(self, n, edges, accepting, initial):
         self.n_states = n
-        self.succ = [dict() for _ in range(n)]
-        self.pred = [[] for _ in range(n)]
-        for u, v, w in edges:
-            self.succ[u][v] = w
-            self.pred[v].append(u)
+        self.out = [dict() for _ in range(n)]
+        self.pred = [dict() for _ in range(n)]
+        self.succ = WeightView(self.out)
+        self.apply_changes([PAEdgeChange(u, v, w) for u, v, w in edges])
         self.accepting = list(accepting)
         self.initial = list(initial)
         self.mode = "plain"
         self.wts = SimpleNamespace(coords=None)  # no grid, so no free product
 
-    def apply_changes(self, mod):
-        created = []
-        for ch in mod:
-            if ch.v not in self.succ[ch.u]:
-                self.pred[ch.v].append(ch.u)
-                created.append(ch)
-            self.succ[ch.u][ch.v] = ch.weight
-        return created
+    apply_changes = ProductAutomaton.apply_changes
 
 
 def brute_force_min_cycle(pa, acc, max_len=8):
@@ -68,7 +67,7 @@ def brute_force_min_cycle(pa, acc, max_len=8):
 
 def repair_with(planner, rec, mod):
     """Queue a change set in one loop search and repair it, as replan does."""
-    mirrors = [(ch.u, ch.weight) for ch in mod if ch.v == rec.acc]
+    mirrors = [(ch.u, pack(ch.weight)) for ch in mod if ch.v == rec.acc]
     planner.mark_stale(rec, mirrors, {ch.u for ch in mod})
     return planner.repair_loop(rec)
 
@@ -78,7 +77,7 @@ def test_suffix_self_loop():
                 accepting=[0], initial=[0])
     planner = LTLDStarPlanner(pa, beta=10)
     rec = planner.suffix_initialize(0)
-    assert rec.cost == (0, 10)
+    assert rec.cost == pack((0, 10))
     assert rec.get_loop() == [0, 0]
 
 
@@ -86,7 +85,7 @@ def test_suffix_no_cycle_is_infinite():
     pa = TinyPA(2, [(0, 1, (0, 10))], accepting=[0], initial=[0])
     planner = LTLDStarPlanner(pa, beta=10)
     rec = planner.suffix_initialize(0)
-    assert rec.cost == (INF, INF)
+    assert rec.cost == INF
     assert rec.get_loop() == []
 
 
@@ -96,7 +95,7 @@ def test_suffix_three_cycle_matches_brute_force():
     assert brute_force_min_cycle(pa, 0) == (0, 50)
     planner = LTLDStarPlanner(pa, beta=10)
     rec = planner.suffix_initialize(0)
-    assert rec.cost == (0, 50)
+    assert rec.cost == pack((0, 50))
     assert rec.get_loop() == [0, 1, 2, 0]
 
 
@@ -120,7 +119,7 @@ def test_suffix_replan_deleted_cycle_goes_infinite():
     mod = [PAEdgeChange(1, 2, (INF, INF))]
     pa.apply_changes(mod)
     assert repair_with(planner, rec, mod)
-    assert rec.cost == (INF, INF)
+    assert rec.cost == INF
     assert rec.get_loop() == []
 
 
@@ -131,11 +130,11 @@ def test_suffix_replan_switches_to_alternate_cycle():
                 accepting=[0], initial=[0])
     planner = LTLDStarPlanner(pa, beta=10)
     rec = planner.suffix_initialize(0)
-    assert rec.cost == (0, 20)
+    assert rec.cost == pack((0, 20))
     mod = [PAEdgeChange(0, 1, (0, 80))]  # bump one edge of the cheap cycle
     pa.apply_changes(mod)
     repair_with(planner, rec, mod)
-    assert rec.cost == (0, 70)
+    assert rec.cost == pack((0, 70))
     assert brute_force_min_cycle(pa, 0) == (0, 70)
     assert rec.get_loop() == [0, 2, 3, 0]
 
@@ -290,7 +289,17 @@ def test_suffix_independence(seq_nba):
     for rec, before in zip(planner.records, costs_before):
         if rec.cost != before:
             # only loops actually using that edge may move; clean ones stay
-            assert before[1] != INF
+            assert before != INF
+
+
+def test_beta_cap_boundary(seq_nba):
+    check_beta(1)
+    check_beta(BETA_CAP - 1)
+    for bad in (BETA_CAP, 2.5, 10.0, True, "10"):
+        with pytest.raises(WeightRangeError):
+            check_beta(bad)
+    with pytest.raises(WeightRangeError):
+        simulate(load_scenario(ASSETS / "bench_map_a.json"), seq_nba, beta=2.5)
 
 
 def test_total_cost_examples():
@@ -402,7 +411,7 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
             seen["lowered"] = any(rec.stale for rec in planner.records)
         mod = [ch for ev in make_batch() for ch in pa.map_wts_change(ev)]
         if make_batch is add_batch:
-            seen["created"] = any(ch.v not in pa.succ[ch.u] for ch in mod)
+            seen["created"] = any(ch.v not in pa.out[ch.u] for ch in mod)
         start = planner.current_state
         searches = [rec.instance for rec in planner.records]
         try:
@@ -426,7 +435,7 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
         seen["abandoned"] |= any(rec.instance is not old
                                  for rec, old in zip(planner.records, searches))
         # every live loop search is focused by its free-product distance
-        assert all(rec.h is not None for rec in planner.records if rec.cost[1] != INF)
+        assert all(rec.h is not None for rec in planner.records if rec.cost != INF)
     assert seen == {"stale": True, "lowered": True, "created": True, "suffix": True,
                     "abandoned": True}
 
@@ -496,7 +505,7 @@ def test_deferred_rescans_accumulate_until_a_lowering_batch(relaxed):
     replan([ChangeEvent("add", target, wall_nb, scn.move_cost),
             ChangeEvent("add", wall_nb, target, scn.move_cost)])
     check_all_repaired()
-    assert rec.cost == (0, 2 * scn.move_cost)  # the new edge closes the cheapest loop
+    assert rec.cost == pack((0, 2 * scn.move_cost))  # the new edge closes the cheapest loop
 
 
 def _unreachable_a():
@@ -538,10 +547,10 @@ def test_reweight_below_heuristic_step_is_rejected(seq_nba, seed, relaxed):
     planner.plan_initial()
     states = planner.run.states()
     i, j = states[0] // pa.nq, states[1] // pa.nq
-    before = (copy.deepcopy(pa.succ), copy.deepcopy(pa.pred))
+    before = (copy.deepcopy(pa.out), copy.deepcopy(pa.pred))
     with pytest.raises(ReweightBelowStepError, match="below the heuristic's step"):
         planner.replan(pa.map_wts_change(ChangeEvent("reweight", i, j, 1)))
-    assert (pa.succ, pa.pred) == before
+    assert (pa.out, pa.pred) == before
     # every edge down to the step: the cheapest admissible drop
     mod = [ch for a, b, d in pa.wts.edges() if d not in (INF, step)
            for ch in pa.map_wts_change(ChangeEvent("reweight", a, b, step))]
@@ -593,6 +602,21 @@ def test_change_that_moves_no_loop_cost_repairs_the_main_search(seq_nba, phase, 
     assert [rec.cost for rec in planner.records] == costs
     assert planner.main is main
     assert planner.main.km > km
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+def test_main_search_starts_over_before_km_reaches_its_cap(seq_nba, relaxed):
+    """A start move that would take km to KM_CAP resets the main search in place,
+    so keys keep within the packing's exact range; the run equals a fresh solve."""
+    pa, planner = _ring_planner(seq_nba, relaxed, SUFFIX)
+    states = planner.run.states()
+    on_run = {(s // pa.nq, t // pa.nq) for s, t in zip(states, states[1:])}
+    off_run = next((i, j) for i, j, d in pa.wts.edges() if d != INF and (i, j) not in on_run)
+    main = planner.main
+    main.km = KM_CAP - 1
+    _raise_and_check(planner, [off_run])
+    assert planner.main is main
+    assert main.km == 0 and main.start == planner.current_state
 
 
 @pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
@@ -685,9 +709,9 @@ def _check_loop_heuristics(planner) -> int:
         h = [rec.h(rec.acc, s) for s in range(pa.n_states)]
         assert h[rec.acc] == 0
         assert all(h[v] <= h[u] + wt for u, v, wt in clean), rec.acc
-        dist, _ = lex_dijkstra(
-            lambda u: [(v, w) for v, w in pa.succ[u].items() if w[0] == 0], [rec.acc])
-        assert all(h[s] <= t for s, (_v, t) in dist.items()), rec.acc
+        clean_out = [{v: w for v, w in row.items() if unpack(w)[0] == 0} for row in pa.out]
+        dist, _ = lex_dijkstra(clean_out, [rec.acc])
+        assert all(h[s] <= t for s, t in dist.items()), rec.acc
         checked += 1
     return checked
 
@@ -763,7 +787,8 @@ def test_synthetic_start_runs_match_fresh_solve(seq_nba_anchored, name, relaxed)
             h = planner.main.h
             out = planner.main.graph.extra_succ[synth]
             assert sorted(out) == sorted(pa.initial)
-            for v, (_wv, wt) in out.items():
+            for v, w in out.items():
+                _wv, wt = unpack(w)
                 for a in range(synth + 1):
                     assert abs(h(a, v) - h(a, synth)) <= wt
                     assert abs(h(v, a) - h(synth, a)) <= wt
@@ -797,7 +822,7 @@ def test_add_outside_the_grid_is_rejected(seq_nba, relaxed):
     coords = pa.wts.coords
     far = next(j for j, c in enumerate(coords)
                if abs(c[0] - coords[0][0]) + abs(c[1] - coords[0][1]) == 2)
-    before = (copy.deepcopy(pa.succ), copy.deepcopy(pa.pred))
+    before = (copy.deepcopy(pa.out), copy.deepcopy(pa.pred))
     with pytest.raises(EdgeOutsideGridError, match="no free-product move"):
         planner.replan(pa.map_wts_change(ChangeEvent("add", 0, far, 10)))
-    assert (pa.succ, pa.pred) == before
+    assert (pa.out, pa.pred) == before

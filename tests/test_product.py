@@ -2,12 +2,16 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chi_bits, dist, unpack, visit_in_order_hoa
 from tlreplan.hoa import parse_nba
 from tlreplan.labels import APUniverse
 from tlreplan.product import build_product, build_relaxed_product, dist_bits
-from tlreplan.world import Belief, ChangeEvent, GridScenario, to_wts
+from tlreplan.weights import STATE_CAP, TRAVEL_CAP, WeightRangeError, pack
+from tlreplan.weights import unpack as unpack_weight
+from tlreplan.world import Belief, ChangeEvent, GridScenario, random_map, to_wts
 from tlreplan.wts import WTS
 
 INF = math.inf
@@ -177,6 +181,16 @@ class TestMapWtsChange:
         for ch in mod:
             assert pa.succ[ch.u][ch.v] == (0, 50)
 
+    def test_travel_cap_boundary(self):
+        _, _, pa = self._setup()
+        mod = pa.map_wts_change(ChangeEvent("reweight", 0, 1, TRAVEL_CAP - 1))
+        assert all(ch.weight == (0, TRAVEL_CAP - 1) for ch in mod)
+        for bad in (TRAVEL_CAP, 2.5, 10.0, None):
+            with pytest.raises(WeightRangeError):
+                pa.map_wts_change(ChangeEvent("reweight", 0, 1, bad))
+            with pytest.raises(WeightRangeError):
+                pa.map_wts_change(ChangeEvent("add", 1, 0, bad))
+
     def test_relaxed_reweight_keeps_violation(self):
         nba = _nba("State: 0\n[0 & 1] 1\nState: 1 {0}\n[t] 1", n_props=2)
         wts = _line_wts(nba.universe, [0, 0b01], [10])
@@ -236,3 +250,54 @@ def test_64_ap_products_build_within_a_second():
     assert dist_bits(nba, 63, 64, 1 << 63) == 0
     assert dist_bits(nba, 63, 64, 1 << 5) == 1
     assert dist_bits(nba, 63, 63, 1 << 63) == 1
+
+
+def test_product_state_cap():
+    nba = _nba("State: 0\n[0] 1\nState: 1 {0}\n[0] 1", n_props=1, names='"a"')
+    n = STATE_CAP // nba.n_states
+    wts = WTS(nba.universe, n, [0] * n, [0], [{}] * n)  # no edges: cheap to check
+    with pytest.raises(WeightRangeError, match="cap"):
+        build_product(wts, nba)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_succ_view_reads_the_packed_maps_after_random_batches(seq_nba, data):
+    """After add, delete and reweight batches, `succ[u][v]` is the last weight
+    written to u -> v, unpacked, and `pred[v][u]` holds the same packed weight."""
+    build = data.draw(st.sampled_from([build_product, build_relaxed_product]))
+    wts = to_wts(random_map(3, 4, 0.0), Belief(), seq_nba.universe)
+    pa = build(wts, seq_nba)
+    n = wts.n_states
+    written = {(u, v): pa.succ[u][v] for u, row in enumerate(pa.out) for v in row}
+    for _ in range(data.draw(st.integers(1, 4))):
+        mod = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            kind = data.draw(st.sampled_from(["add", "delete", "reweight"]))
+            if kind != "add" and not wts.has_edge(i, j):
+                kind = "add"
+            travel = None if kind == "delete" else data.draw(st.integers(1, TRAVEL_CAP - 1))
+            mod += pa.map_wts_change(ChangeEvent(kind, i, j, travel))
+        pa.apply_changes(mod)
+        written.update(((ch.u, ch.v), ch.weight) for ch in mod)
+    assert sum(len(row) for row in pa.pred) == pa.n_edges == len(written)
+    for u, row in enumerate(pa.out):
+        assert pa.succ[u].keys() == row.keys()
+        for v, w in row.items():
+            assert pa.succ[u][v] == unpack_weight(w) == written[u, v]
+            assert pa.pred[v][u] == w == pack(written[u, v])
+
+
+def test_succ_view_is_read_only(seq_nba):
+    pa = build_product(to_wts(random_map(3, 4, 0.0), Belief(), seq_nba.universe), seq_nba)
+    u = next(s for s, row in enumerate(pa.out) if row)
+    v = next(iter(pa.out[u]))
+    before = pa.out[u][v]
+    with pytest.raises(TypeError):
+        pa.succ[u][v] = (0, 1)
+    with pytest.raises(TypeError):
+        del pa.succ[u][v]
+    with pytest.raises(TypeError):
+        pa.succ[u] = {}
+    assert pa.out[u][v] == before

@@ -7,6 +7,7 @@ from tlreplan.baselines import solve_fresh
 from tlreplan.labels import APUniverse
 from tlreplan.planner import NoAcceptingRun
 from tlreplan.product import build_product
+from tlreplan.weights import TRAVEL_CAP, WeightRangeError
 from tlreplan.world import (Belief, ChangeEvent, GridScenario, _ground_truth_feasible,
                             initial_belief, load_scenario, random_map, scenario_from_dict,
                             sense, to_wts)
@@ -130,6 +131,13 @@ def test_scenario_rejects_a_bump_cheaper_than_a_move(move_cost, bump_cost):
 def test_scenario_accepts_a_bump_as_cheap_as_a_move():
     assert _empty(6, move_cost=10, bump_cost=10).bump_cost == 10
     assert _empty(6, move_cost=1, bump_cost=1).move_cost == 1
+
+
+def test_scenario_cost_caps():
+    assert _empty(6, move_cost=TRAVEL_CAP - 1, bump_cost=TRAVEL_CAP - 1).bump_cost == TRAVEL_CAP - 1
+    for move_cost, bump_cost in [(10, TRAVEL_CAP), (10.0, 50), (10, 50.5)]:
+        with pytest.raises(WeightRangeError):
+            _empty(6, move_cost=move_cost, bump_cost=bump_cost)
 
 
 def test_scenario_json_round_trip(tmp_path):
