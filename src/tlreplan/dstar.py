@@ -116,7 +116,7 @@ class SearchInstance:
     # -- keys ----------------------------------------------------------------
 
     def calculate_key(self, s: int) -> tuple:
-        """(lower of g and rhs, plus h and km; lower of g and rhs), packed."""
+        """The packed key (m + h(start, s) + km, m), m the lower of g(s) and rhs(s)."""
         g = self.g.get(s, INF)
         rhs = self.rhs.get(s, INF)
         m = g if g <= rhs else rhs
