@@ -2,9 +2,9 @@
 
 from .hoa import (NBA, GuardTooLargeError, HoaParseError, UnsupportedHoaError, parse_nba,
                   parse_nba_file)
-from .labels import APUniverse, APUniverseError, Label, rho, xi, zeta
+from .labels import APUniverse, APUniverseError
 from .planner import (EdgeOutsideGridError, LTLDStarPlanner, NoAcceptingRun,
-                      ReweightBelowStepError, Run, total_cost)
+                      ReweightBelowStepError, Run)
 from .product import ProductAutomaton, build_product, build_relaxed_product
 from .simulate import TraceReport, simulate
 from .weights import WeightRangeError
@@ -13,10 +13,10 @@ from .wts import WTS, load_wts
 
 __all__ = [
     "APUniverse", "APUniverseError", "EdgeOutsideGridError", "GridScenario", "GuardTooLargeError",
-    "HoaParseError", "Label", "LTLDStarPlanner", "NBA", "NoAcceptingRun",
+    "HoaParseError", "LTLDStarPlanner", "NBA", "NoAcceptingRun",
     "ProductAutomaton", "ReweightBelowStepError", "Run", "TraceReport",
     "UnsupportedHoaError", "WTS", "WeightRangeError",
     "build_product", "build_relaxed_product", "load_scenario", "load_wts",
-    "parse_nba", "parse_nba_file", "random_map", "rho",
-    "sense", "simulate", "to_wts", "total_cost", "xi", "zeta",
+    "parse_nba", "parse_nba_file", "random_map",
+    "sense", "simulate", "to_wts",
 ]

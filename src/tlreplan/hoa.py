@@ -4,17 +4,20 @@ Supported input: `HOA: v1` files with `States:`, one or more `Start:`
 headers, `AP:`, `acc-name: Buchi`, `Acceptance: 1 Inf(0)`, and a body of
 `State:` items whose transitions are `[guard] dest` lines. Guards use the
 grammar  t | f | <int> | !g | g & g | g | g | (g)  with integers indexing
-the AP declaration. Anything outside this subset is rejected with a named
-error rather than half-parsed.
+the AP declaration. Anything outside this subset, and a repeated
+`States:`, `AP:`, `acc-name:` or `Acceptance:` header, is rejected with a
+named error rather than half-parsed; a repeated `Start:` state counts once.
 
-Each guard is compiled once, at parse time, to a deduplicated list of
+The guard parser compiles each guard straight to a deduplicated list of
 consistent cubes `(pos, neg)`: bit masks of the propositions a label must
-hold and must not hold. The guard holds on a label exactly when one of its
-cubes does, so enabling is two mask tests per cube, and the least number of
-propositions to flip so that a label enables the guard is the least
-`popcount(pos & ~bits) + popcount(neg & bits)` over its cubes. A guard
-whose cube list would exceed `MAX_GUARD_CUBES` is rejected with
-`GuardTooLargeError` instead of expanded.
+hold and must not hold. No expression tree is kept; the cubes are the one
+definition of guard semantics. The guard holds on a label exactly when one
+of its cubes does, so enabling is two mask tests per cube, and the least
+number of propositions to flip so that a label enables the guard is the
+least `popcount(pos & ~bits) + popcount(neg & bits)` over its cubes. A
+guard whose cube list would exceed `MAX_GUARD_CUBES` is rejected with
+`GuardTooLargeError` as soon as a product passes the bound, instead of
+expanded.
 """
 
 from __future__ import annotations
@@ -43,91 +46,22 @@ class GuardTooLargeError(HoaParseError):
 
 
 # ---------------------------------------------------------------------------
-# Guard expression trees
+# Guards
 
 
-class Guard:
-    _cubes = None
+def parse_guard(text: str, n_props: int, line: int = 0) -> tuple[tuple[int, int], ...]:
+    """Deduplicated consistent cubes `(pos, neg)` whose union is the guard `text`.
 
-    def eval(self, bits: int) -> bool:
-        raise NotImplementedError
-
-    def cubes(self, line: int = 0) -> tuple[tuple[int, int], ...]:
-        """Deduplicated consistent cubes `(pos, neg)` whose union is this guard."""
-        if self._cubes is None:
-            self._cubes = tuple(_dnf(self, False, line))
-        return self._cubes
-
-
-class GTrue(Guard):
-    def eval(self, bits):
-        return True
-
-    def __repr__(self):
-        return "t"
-
-
-class GFalse(Guard):
-    def eval(self, bits):
-        return False
-
-    def __repr__(self):
-        return "f"
-
-
-class GProp(Guard):
-    def __init__(self, index: int):
-        self.index = index
-
-    def eval(self, bits):
-        return bits >> self.index & 1 == 1
-
-    def __repr__(self):
-        return str(self.index)
-
-
-class GNot(Guard):
-    def __init__(self, sub: Guard):
-        self.sub = sub
-
-    def eval(self, bits):
-        return not self.sub.eval(bits)
-
-    def __repr__(self):
-        return f"!{self.sub!r}"
-
-
-class GAnd(Guard):
-    def __init__(self, left: Guard, right: Guard):
-        self.left = left
-        self.right = right
-
-    def eval(self, bits):
-        return self.left.eval(bits) and self.right.eval(bits)
-
-    def __repr__(self):
-        return f"({self.left!r} & {self.right!r})"
-
-
-class GOr(Guard):
-    def __init__(self, left: Guard, right: Guard):
-        self.left = left
-        self.right = right
-
-    def eval(self, bits):
-        return self.left.eval(bits) or self.right.eval(bits)
-
-    def __repr__(self):
-        return f"({self.left!r} | {self.right!r})"
-
-
-def parse_guard(text: str, n_props: int, line: int = 0) -> Guard:
-    """Recursive-descent parser for the guard grammar; ! binds over & over |."""
+    A recursive descent in which ! binds over & over |. Each level is told
+    whether an odd number of `!` encloses it; under negation `&` and `|`
+    swap (De Morgan), so an operator is either the union of its operands'
+    cubes or their pairwise product, contradictions dropped.
+    """
     tokens = _tokenize_guard(text, line)
     pos = 0
 
     def peek():
-        return tokens[pos] if pos < len(tokens) else None
+        return tokens[pos][0] if pos < len(tokens) else None
 
     def take():
         nonlocal pos
@@ -135,94 +69,64 @@ def parse_guard(text: str, n_props: int, line: int = 0) -> Guard:
         pos += 1
         return tok
 
-    def parse_or():
-        node = parse_and()
-        while peek() and peek()[0] == "|":
-            take()
-            node = GOr(node, parse_and())
-        return node
+    def parse_or(negated):
+        return parse_chain("|", parse_and, negated)
 
-    def parse_and():
-        node = parse_not()
-        while peek() and peek()[0] == "&":
-            take()
-            node = GAnd(node, parse_not())
-        return node
+    def parse_and(negated):
+        return parse_chain("&", parse_not, negated)
 
-    def parse_not():
-        tok = peek()
-        if tok is None:
+    def parse_chain(op, parse_operand, negated):
+        cubes = parse_operand(negated)
+        if peek() != op:
+            return cubes
+        disjunction = (op == "|") != negated
+        cubes = dict.fromkeys(cubes)
+        while peek() == op:
+            take()
+            more = parse_operand(negated)
+            if disjunction:
+                cubes.update(dict.fromkeys(more))
+                size = len(cubes)
+            else:  # pairwise product, contradictions dropped; bounded before it is built
+                size = len(cubes) * len(more)
+                if size <= MAX_GUARD_CUBES:
+                    cubes = dict.fromkeys(
+                        (lp | rp, ln | rn) for lp, ln in cubes for rp, rn in more
+                        if not (lp | rp) & (ln | rn))
+            if size > MAX_GUARD_CUBES:
+                raise GuardTooLargeError(f"guard expands to more than {MAX_GUARD_CUBES} cubes", line)
+        return list(cubes)
+
+    def parse_not(negated):
+        if peek() is None:
             raise HoaParseError("guard ended unexpectedly", line, len(text) + 1)
-        if tok[0] == "!":
+        if peek() == "!":
             take()
-            return GNot(parse_not())
-        return parse_atom()
+            return parse_not(not negated)
+        return parse_atom(negated)
 
-    def parse_atom():
+    def parse_atom(negated):
         kind, value, col = take()
-        if kind == "t":
-            return GTrue()
-        if kind == "f":
-            return GFalse()
+        if kind == "t" or kind == "f":
+            return [(0, 0)] if (kind == "t") != negated else []
         if kind == "int":
             if value >= n_props:
                 raise HoaParseError(f"AP index {value} out of range (universe has {n_props})", line, col)
-            return GProp(value)
+            bit = 1 << value
+            return [(0, bit)] if negated else [(bit, 0)]
         if kind == "(":
-            node = parse_or()
-            tok = peek()
-            if tok is None or tok[0] != ")":
+            cubes = parse_or(negated)
+            if peek() != ")":
                 raise HoaParseError("missing closing parenthesis in guard", line, col)
             take()
-            return node
+            return cubes
         raise HoaParseError(f"unexpected {value!r} in guard", line, col)
 
-    node = parse_or()
+    cubes = parse_or(False)
     if pos != len(tokens):
         kind, value, col = tokens[pos]
         raise HoaParseError(f"unexpected {value!r} after guard", line, col)
-    node.cubes(line)
-    return node
-
-
-def _dnf(g: Guard, negated: bool, line: int) -> list[tuple[int, int]]:
-    """Cubes of `g` (of `!g` when negated), with `!` pushed down by De Morgan."""
-    while isinstance(g, GNot):
-        g, negated = g.sub, not negated
-    if isinstance(g, GProp):
-        bit = 1 << g.index
-        return [(0, bit)] if negated else [(bit, 0)]
-    if isinstance(g, (GTrue, GFalse)):
-        return [(0, 0)] if isinstance(g, GTrue) != negated else []
-    disjunction = isinstance(g, GOr) != negated
-    operands = _chain(g)
-    cubes = dict.fromkeys(_dnf(operands[0], negated, line))
-    for sub in operands[1:]:
-        more = _dnf(sub, negated, line)
-        if disjunction:
-            cubes.update(dict.fromkeys(more))
-            size = len(cubes)
-        else:  # pairwise product, contradictions dropped; bounded before it is built
-            size = len(cubes) * len(more)
-            if size <= MAX_GUARD_CUBES:
-                cubes = dict.fromkeys(
-                    (lp | rp, ln | rn) for lp, ln in cubes for rp, rn in more
-                    if not (lp | rp) & (ln | rn))
-        if size > MAX_GUARD_CUBES:
-            raise GuardTooLargeError(f"guard expands to more than {MAX_GUARD_CUBES} cubes", line)
-    return list(cubes)
-
-
-def _chain(g: Guard) -> list[Guard]:
-    """Operands of a left-nested run of one binary operator, left to right."""
-    kind = type(g)
-    operands = []
-    while isinstance(g, kind):
-        operands.append(g.right)
-        g = g.left
-    operands.append(g)
-    operands.reverse()
-    return operands
+    return tuple(cubes)
 
 
 def cubes_enable(cubes, bits: int) -> bool:
@@ -242,10 +146,7 @@ def _tokenize_guard(text: str, line: int):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch in "!&|()":
-            tokens.append((ch, ch, i + 1))
-            i += 1
-        elif ch == "t" or ch == "f":
+        elif ch in "!&|()tf":
             tokens.append((ch, ch, i + 1))
             i += 1
         elif ch.isdigit():
@@ -273,7 +174,7 @@ class NBA:
     n_states: int
     initial: list[int]
     accepting: list[int]
-    transitions: list[tuple[int, Guard, int]]
+    transitions: list[tuple[int, tuple, int]]
     _succ: list = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -286,9 +187,9 @@ class NBA:
             if not (0 <= qm < self.n_states and 0 <= qn < self.n_states):
                 raise ValueError(f"transition endpoint {qm}->{qn} out of range")
         self._succ = [{} for _ in range(self.n_states)]
-        for qm, guard, qn in self.transitions:
+        for qm, guard_cubes, qn in self.transitions:
             cubes = self._succ[qm].get(qn, ())
-            self._succ[qm][qn] = tuple(dict.fromkeys(cubes + guard.cubes()))
+            self._succ[qm][qn] = tuple(dict.fromkeys(cubes + guard_cubes))
 
     @property
     def n_transitions(self) -> int:
@@ -307,6 +208,7 @@ class NBA:
 # HOA parsing
 
 _IGNORED_HEADERS = {"name", "tool", "properties"}
+_ONCE_HEADERS = {"States", "AP", "acc-name", "Acceptance"}
 
 
 def parse_nba(text: str) -> NBA:
@@ -317,6 +219,7 @@ def parse_nba(text: str) -> NBA:
     ap_names = None
     acceptance_ok = False
     acc_name_ok = False
+    seen_headers = set()
     body_start = None
 
     if not lines or lines[0].strip() != "HOA: v1":
@@ -335,12 +238,18 @@ def parse_nba(text: str) -> NBA:
         header, _, value = line.partition(":")
         header = header.strip()
         value = value.strip()
+        if header in _ONCE_HEADERS:
+            if header in seen_headers:
+                raise HoaParseError(f"repeated {header}: header", lineno)
+            seen_headers.add(header)
         if header == "States":
             n_states = _parse_int(value, "States", lineno)
         elif header == "Start":
             if "&" in value:
                 raise UnsupportedHoaError("conjunctive initial states are not supported", lineno)
-            initial.append(_parse_int(value, "Start", lineno))
+            q = _parse_int(value, "Start", lineno)
+            if q not in initial:
+                initial.append(q)
         elif header == "AP":
             ap_names = _parse_ap(value, lineno)
         elif header == "Acceptance":
@@ -373,7 +282,7 @@ def parse_nba(text: str) -> NBA:
 
     universe = APUniverse(tuple(ap_names))
     accepting: list[int] = []
-    transitions: list[tuple[int, Guard, int]] = []
+    transitions: list[tuple[int, tuple, int]] = []
     seen_states = set()
     current = None
     ended = False
@@ -399,7 +308,7 @@ def parse_nba(text: str) -> NBA:
             close = line.find("]")
             if close < 0:
                 raise HoaParseError("unterminated guard bracket", lineno)
-            guard = parse_guard(line[1:close], len(ap_names), lineno)
+            cubes = parse_guard(line[1:close], len(ap_names), lineno)
             rest = line[close + 1:].split()
             if not rest:
                 raise HoaParseError("transition missing destination state", lineno)
@@ -408,7 +317,7 @@ def parse_nba(text: str) -> NBA:
             dest = _parse_int(rest[0], "destination", lineno)
             if dest >= n_states:
                 raise HoaParseError(f"destination {dest} out of range", lineno)
-            transitions.append((current, guard, dest))
+            transitions.append((current, cubes, dest))
         else:
             raise HoaParseError(f"unexpected body line {line!r}", lineno)
 

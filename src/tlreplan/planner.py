@@ -63,7 +63,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .dstar import OverlayGraph, SearchInstance
-from .weights import BETA_CAP, INF, WeightRangeError, lasso_cost, pack, path_weight, unpack
+from .weights import BETA_CAP, INF, WeightRangeError, pack, path_weight, unpack
 
 PREFIX = "prefix"
 SUFFIX = "suffix"
@@ -116,11 +116,6 @@ class Run:
     def states(self) -> list[int]:
         """Prefix followed by one loop traversal (shared state deduplicated)."""
         return self.prefix + self.suffix[1:]
-
-
-def total_cost(run: Run, beta: int) -> tuple:
-    """Prefix weight plus beta-scaled loop weight, componentwise."""
-    return lasso_cost(run.prefix_cost, run.suffix_cost, beta)
 
 
 @dataclass

@@ -35,14 +35,6 @@ class PAEdgeChange:
     weight: tuple
 
 
-def dist_bits(nba: NBA, qm: int, qn: int, label_bits: int) -> int:
-    """Violation of taking q_m -> q_n when the destination carries `label_bits`."""
-    cubes = nba.pair_cubes(qm, qn)
-    if not cubes:
-        raise ValueError(f"no transition {qm}->{qn}: relaxation undefined")
-    return cubes_distance(cubes, label_bits)
-
-
 class _WeightRow(Mapping):
     """Read-only (violation, travel) view of one packed adjacency row."""
 

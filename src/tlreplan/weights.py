@@ -76,11 +76,6 @@ def path_weight(out, path):
     return sum(out[a][b] for a, b in zip(path, path[1:]))
 
 
-def lasso_cost(prefix: tuple, loop: tuple, beta: int) -> tuple:
-    """Prefix weight plus beta times loop weight, componentwise; INF_W if either is infinite."""
-    return unpack(pack(prefix) + beta * pack(loop))
-
-
 def check_travel(d, what: str) -> None:
     """Reject a travel the packing cannot hold: not an int, below 1, or at or above the cap."""
     if type(d) is not int or not 1 <= d < TRAVEL_CAP:

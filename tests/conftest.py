@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -8,9 +9,10 @@ import pytest
 
 from tlreplan.baselines import lex_dijkstra, loop_cost, solve_fresh
 from tlreplan.dstar import SearchInstance
-from tlreplan.hoa import cubes_enable, parse_nba_file
+from tlreplan.hoa import cubes_distance, cubes_enable, parse_nba_file
+from tlreplan.labels import APUniverse, APUniverseError
 from tlreplan.planner import NoAcceptingRun
-from tlreplan.product import PLAIN, RELAXED, ProductAutomaton, dist_bits
+from tlreplan.product import PLAIN, RELAXED, ProductAutomaton
 from tlreplan.simulate import ALGO_ITERATIVE, EventRow, TraceReport, build_world
 from tlreplan.weights import INF, pack, path_weight
 from tlreplan.weights import unpack as unpack_weight
@@ -176,20 +178,56 @@ def visit_in_order_hoa(k: int) -> str:
     return "\n".join(lines + ["--END--", ""])
 
 
-def chi_bits(nba, qm: int, qn: int) -> tuple[int, ...]:
-    """All labels (as bit patterns) enabling q_m -> q_n, by enumeration.
+_GUARD_WORDS = {"t": "True", "f": "False", "!": " not ", "&": " and ", "|": " or "}
 
-    Evaluates the guard trees on every one of the 2**|AP| labels, so it is
-    an oracle for small universes only; the library itself uses cubes.
+
+def guard_predicate(text: str):
+    """`bits -> bool` for HOA guard text, evaluated by Python, not by the library.
+
+    `t`/`f`/`!`/`&`/`|` become `True`/`False`/`not`/`and`/`or` and an
+    integer k becomes `(bits >> k & 1 == 1)`. Python ranks `not` over `and`
+    over `or`, as HOA ranks `!` over `&` over `|`, so the parser's
+    precedence is checked too.
     """
-    guards = [g for m, g, n in nba.transitions if (m, n) == (qm, qn)]
-    return tuple(bits for bits in range(1 << nba.universe.size)
-                 if any(g.eval(bits) for g in guards))
+    expr = re.sub(r"\d+|[tf!&|]",
+                  lambda m: _GUARD_WORDS.get(m[0]) or f"(bits >> {m[0]} & 1 == 1)", text)
+    code = compile(expr.strip(), "<guard>", "eval")
+    return lambda bits: eval(code, {"bits": bits})
 
 
-def chi(nba, qm: int, qn: int) -> set:
-    """Labels enabling the transition q_m -> q_n; empty set if none."""
-    return {nba.universe.label_from_bits(b) for b in chi_bits(nba, qm, qn)}
+def chi_bits(guard: str, n_props: int) -> tuple[int, ...]:
+    """All labels (as bit patterns) over `n_props` propositions that satisfy `guard`.
+
+    Enumerates the 2**n_props labels through `guard_predicate`, so it is an
+    oracle for small universes only; the library itself uses cubes.
+    """
+    holds = guard_predicate(guard)
+    return tuple(bits for bits in range(1 << n_props) if holds(bits))
+
+
+def chi(guard: str, universe: APUniverse) -> set:
+    """Labels satisfying `guard`; empty set if none."""
+    return {Label(universe, b) for b in chi_bits(guard, universe.size)}
+
+
+def enabled_bits(nba, qm: int, qn: int) -> tuple[int, ...]:
+    """All labels whose bits the library's cubes for q_m -> q_n enable."""
+    cubes = nba.pair_cubes(qm, qn)
+    return tuple(bits for bits in range(1 << nba.universe.size) if cubes_enable(cubes, bits))
+
+
+def hoa_guards(text: str) -> dict:
+    """Guard texts of each (q_m, q_n) in HOA text, read from its body lines."""
+    guards = {}
+    qm = None
+    for line in text.split("--BODY--")[1].splitlines():
+        line = line.strip()
+        if line.startswith("State:"):
+            qm = int(line.split()[1])
+        elif line.startswith("["):
+            guard, _, dest = line[1:].partition("]")
+            guards.setdefault((qm, int(dest)), []).append(guard)
+    return guards
 
 
 def delta(nba, qm: int, bits: int) -> list[int]:
@@ -257,6 +295,14 @@ def dijkstra_oracle(pa, start, beta: int) -> OracleResult:
 def unpack(pa: ProductAutomaton, s: int) -> tuple[int, int]:
     """(workspace state, automaton state) of product state s."""
     return divmod(s, pa.nq)
+
+
+def dist_bits(nba, qm: int, qn: int, label_bits: int) -> int:
+    """Violation of taking q_m -> q_n when the destination carries `label_bits`."""
+    cubes = nba.pair_cubes(qm, qn)
+    if not cubes:
+        raise ValueError(f"no transition {qm}->{qn}: relaxation undefined")
+    return cubes_distance(cubes, label_bits)
 
 
 def dist(pa: ProductAutomaton, s_m: int, s_n: int) -> int:
@@ -361,3 +407,48 @@ def solve_fresh_reference(pa, start, beta: int):
     lk = loops[acc]
     return Run(prefix, loop, acc, unpack_weight(pk), unpack_weight(lk),
                unpack_weight(pk + beta * lk))
+
+
+# The paper's label notation: the library works on bit masks and cubes, and
+# these definitions are the oracle criterion 7 and `test_labels.py` check.
+
+
+@dataclass(frozen=True)
+class Label:
+    """A subset of one universe's propositions, held as a bit pattern."""
+
+    universe: APUniverse
+    bits: int
+
+    def __post_init__(self):
+        if self.bits < 0 or self.bits >> self.universe.size:
+            raise APUniverseError(
+                f"label bits {self.bits:#x} outside universe of size {self.universe.size}"
+            )
+
+
+def label(universe: APUniverse, names=()) -> Label:
+    """Build a label from an iterable of proposition names."""
+    bits = 0
+    for n in names:
+        bits |= 1 << universe.index(n)
+    return Label(universe, bits)
+
+
+def xi(ap: int, l: Label) -> int:
+    """1 if proposition index `ap` is in the label, else 0."""
+    if not 0 <= ap < l.universe.size:
+        raise APUniverseError(f"proposition index {ap} outside universe of size {l.universe.size}")
+    return l.bits >> ap & 1
+
+
+def zeta(l: Label) -> list[int]:
+    """Binary membership vector of the label, in universe order."""
+    return [l.bits >> i & 1 for i in range(l.universe.size)]
+
+
+def rho(l: Label, l2: Label) -> int:
+    """Symmetric-difference cardinality between two labels of one universe."""
+    if l.universe != l2.universe:
+        raise APUniverseError("labels belong to different universes")
+    return (l.bits ^ l2.bits).bit_count()

@@ -4,10 +4,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chi, chi_bits, delta
-from tlreplan.hoa import (MAX_GUARD_CUBES, GAnd, GNot, GOr, GProp, GTrue, GuardTooLargeError,
-                          HoaParseError, UnsupportedHoaError, parse_nba, parse_guard)
-from tlreplan.product import dist_bits
+from conftest import ASSETS, chi, chi_bits, delta, dist_bits, enabled_bits, hoa_guards
+from tlreplan.hoa import (MAX_GUARD_CUBES, GuardTooLargeError, HoaParseError,
+                          UnsupportedHoaError, cubes_enable, parse_guard, parse_nba)
 
 EVENTUALLY_A = """HOA: v1
 States: 2
@@ -70,6 +69,23 @@ def test_unknown_header_rejected_but_name_ignored():
         parse_nba(EVENTUALLY_A.replace("HOA: v1\n", "HOA: v1\nAlias: @a 0\n"))
 
 
+@pytest.mark.parametrize("first, repeat", [
+    ('AP: 1 "a"', 'AP: 2 "a" "b"'),
+    ("States: 2", "States: 3"),
+    ("acc-name: Buchi", "acc-name: Buchi"),
+    ("Acceptance: 1 Inf(0)", "Acceptance: 1 Inf(0)"),
+    ("Start: 0", "Start: 0"),
+], ids=["AP", "States", "acc-name", "Acceptance", "Start"])
+def test_repeated_header(first, repeat):
+    text = EVENTUALLY_A.replace(f"{first}\n", f"{first}\n{repeat}\n")
+    if first.startswith("Start"):  # a repeated start state counts once
+        assert parse_nba(text).initial == [0]
+        return
+    with pytest.raises(HoaParseError) as exc:
+        parse_nba(text)
+    assert exc.value.line == text.splitlines().index(first) + 2
+
+
 def test_benchmark_automaton_counts(seq_nba_32):
     assert seq_nba_32.n_states == 32
     assert seq_nba_32.n_transitions == 92
@@ -77,16 +93,18 @@ def test_benchmark_automaton_counts(seq_nba_32):
 
 
 def test_guard_precedence():
-    g = parse_guard("0 | 1 & !2", 3)
+    cubes = parse_guard("0 | 1 & !2", 3)
     # parses as 0 | (1 & !2)
-    assert g.eval(0b001)
-    assert g.eval(0b010)
-    assert not g.eval(0b110)
+    assert cubes_enable(cubes, 0b001)
+    assert cubes_enable(cubes, 0b010)
+    assert not cubes_enable(cubes, 0b110)
+    assert chi_bits("0 | 1 & !2", 3) == chi_bits("0 | (1 & !2)", 3) == tuple(
+        bits for bits in range(8) if cubes_enable(cubes, bits))
 
 
 def test_guard_parentheses_and_errors():
-    g = parse_guard("(0 | 1) & !2", 3)
-    assert not g.eval(0b001 | 0b100)
+    cubes = parse_guard("(0 | 1) & !2", 3)
+    assert not cubes_enable(cubes, 0b001 | 0b100)
     with pytest.raises(HoaParseError):
         parse_guard("(0 | 1", 3)
     with pytest.raises(HoaParseError):
@@ -114,33 +132,19 @@ State: 1 {{0}}
 
 def test_chi_unique_assignment():
     nba = _mk_nba("0 & !1", n_props=2)
-    labels = chi(nba, 0, 1)
-    assert {l.bits for l in labels} == {0b01}
+    labels = chi("0 & !1", nba.universe)
+    assert {l.bits for l in labels} == set(enabled_bits(nba, 0, 1)) == {0b01}
 
 
 def test_chi_true_guard_is_all_labels():
     nba = _mk_nba("t", n_props=1)
-    assert {l.bits for l in chi(nba, 0, 1)} == {0, 1}
+    assert {l.bits for l in chi("t", nba.universe)} == set(enabled_bits(nba, 0, 1)) == {0, 1}
 
 
 def test_chi_absent_transition_empty():
     nba = _mk_nba("t", n_props=1)
-    assert chi(nba, 1, 0) == set()
-
-
-def _eval_reference(guard, bits):
-    """Second evaluation route for cross-checking chi enumeration."""
-    if isinstance(guard, GTrue):
-        return True
-    if isinstance(guard, GProp):
-        return bool(bits & (1 << guard.index))
-    if isinstance(guard, GNot):
-        return not _eval_reference(guard.sub, bits)
-    if isinstance(guard, GAnd):
-        return _eval_reference(guard.left, bits) and _eval_reference(guard.right, bits)
-    if isinstance(guard, GOr):
-        return _eval_reference(guard.left, bits) or _eval_reference(guard.right, bits)
-    return False
+    assert enabled_bits(nba, 1, 0) == ()
+    assert chi("f", nba.universe) == set()
 
 
 def _random_guard(rng, n_props, depth=3):
@@ -159,9 +163,7 @@ def test_chi_matches_brute_force_on_random_guards():
         n_props = rng.randint(2, 6)
         text = _random_guard(rng, n_props)
         nba = _mk_nba(text, n_props=n_props)
-        expected = {b for b in range(1 << n_props)
-                    if _eval_reference(nba.transitions[0][1], b)}
-        assert set(chi_bits(nba, 0, 1)) == expected
+        assert enabled_bits(nba, 0, 1) == chi_bits(text, n_props), text
 
 
 def _guard_texts(n_props):
@@ -171,6 +173,8 @@ def _guard_texts(n_props):
         st.tuples(sub, sub).map(lambda p: f"({p[0]} & {p[1]})"),
         st.tuples(sub, sub).map(lambda p: f"({p[0]} | {p[1]})"),
         sub.map(lambda g: f"({g} & !{g})"),
+        # unparenthesized, so precedence decides; the text oracle ranks by Python's
+        st.tuples(sub, st.sampled_from("&|"), sub).map(" ".join),
     ), max_leaves=12)
 
 
@@ -198,7 +202,7 @@ def test_cubes_match_enumeration_oracle(case):
     cubes = nba.pair_cubes(0, 1)
     assert len(set(cubes)) == len(cubes)
     assert all(not pos & neg for pos, neg in cubes)
-    enabling = chi_bits(nba, 0, 1)
+    enabling = chi_bits(text, n_props)
     assert bool(cubes) == bool(enabling)
     distance = _hamming_to_set(n_props, enabling)
     for bits in range(1 << n_props):
@@ -231,3 +235,15 @@ def test_guard_at_the_bound_and_wide_disjunctions_compile():
     wide = _mk_nba(_pairs("|", "&", 32), n_props=64)
     assert len(wide.pair_cubes(0, 1)) == 32
     assert 1 in delta(wide, 0, 0b11 << 62)
+
+
+@pytest.mark.parametrize("path", sorted(ASSETS.glob("*.hoa")), ids=lambda p: p.name)
+def test_shipped_automata_agree_with_text_oracle(path):
+    text = path.read_text(encoding="utf-8")
+    nba = parse_nba(text)
+    assert nba.universe.size <= 5
+    guards = hoa_guards(text)
+    assert sorted(guards) == nba.pairs()
+    for (qm, qn), texts in guards.items():
+        enabling = set().union(*(chi_bits(g, nba.universe.size) for g in texts))
+        assert set(enabled_bits(nba, qm, qn)) == enabling, (path.name, qm, qn)

@@ -1,39 +1,40 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tlreplan.labels import APUniverse, APUniverseError, Label, rho, xi, zeta
+from conftest import Label, label, rho, xi, zeta
+from tlreplan.labels import APUniverse, APUniverseError
 
 AB = APUniverse(("a", "b"))
 ABC = APUniverse(("a", "b", "c"))
 
 
 def test_xi_membership():
-    l = AB.label(["a"])
+    l = label(AB, ["a"])
     assert xi(0, l) == 1
     assert xi(1, l) == 0
-    assert xi(2, ABC.label([])) == 0
+    assert xi(2, label(ABC, [])) == 0
 
 
 def test_xi_index_out_of_range():
     with pytest.raises(APUniverseError):
-        xi(2, AB.label(["a"]))
+        xi(2, label(AB, ["a"]))
 
 
 def test_zeta_componentwise():
-    assert zeta(ABC.label(["a", "c"])) == [1, 0, 1]
-    assert zeta(ABC.label([])) == [0, 0, 0]
-    assert zeta(ABC.label(["a", "b", "c"])) == [1, 1, 1]
+    assert zeta(label(ABC, ["a", "c"])) == [1, 0, 1]
+    assert zeta(label(ABC, [])) == [0, 0, 0]
+    assert zeta(label(ABC, ["a", "b", "c"])) == [1, 1, 1]
 
 
 def test_rho_examples():
-    assert rho(AB.label(["a"]), AB.label(["a", "b"])) == 1
-    assert rho(AB.label(["a"]), AB.label(["a"])) == 0
-    assert rho(ABC.label(["a"]), ABC.label(["b", "c"])) == 3
+    assert rho(label(AB, ["a"]), label(AB, ["a", "b"])) == 1
+    assert rho(label(AB, ["a"]), label(AB, ["a"])) == 0
+    assert rho(label(ABC, ["a"]), label(ABC, ["b", "c"])) == 3
 
 
 def test_rho_universe_mismatch():
     with pytest.raises(APUniverseError):
-        rho(AB.label(["a"]), ABC.label(["a"]))
+        rho(label(AB, ["a"]), label(ABC, ["a"]))
 
 
 def test_universe_validation():

@@ -10,8 +10,8 @@ from conftest import ASSETS, dijkstra_oracle
 from tlreplan.baselines import lex_dijkstra, loop_cost, solve_fresh
 from tlreplan.hoa import parse_nba, parse_nba_file
 from tlreplan.planner import (PREFIX, REPAIR_SHARE, SUFFIX, EdgeOutsideGridError,
-                              LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError, Run,
-                              check_beta, free_product, total_cost)
+                              LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError,
+                              check_beta, free_product)
 from tlreplan.product import (PAEdgeChange, ProductAutomaton, WeightView, build_product,
                               build_relaxed_product)
 from tlreplan.simulate import simulate
@@ -165,6 +165,7 @@ def test_plan_initial_degenerate_single_state_nba():
     assert run.prefix_cost == (0, 0)
     assert run.suffix_cost == (0, 20)  # cheapest two-step shuttle
     assert run.total == (0, 200)
+    assert pack(run.total) == pack(run.prefix_cost) + 10 * pack(run.suffix_cost)
 
 
 def test_plan_initial_matches_oracle_on_benchmark(seq_nba):
@@ -178,6 +179,7 @@ def test_plan_initial_matches_oracle_on_benchmark(seq_nba):
     oracle = dijkstra_oracle(pa, list(pa.initial), 10)
     assert tuple(run.total) == tuple(oracle.best_total)
     assert run.total[0] == 0
+    assert pack(run.total) == pack(run.prefix_cost) + 10 * pack(run.suffix_cost)
 
 
 def test_plan_initial_no_accepting_run_raises():
@@ -203,6 +205,7 @@ def test_plan_relaxed_when_plain_infeasible(seq_nba):
     assert run.total[0] > 0
     oracle = dijkstra_oracle(relaxed, list(relaxed.initial), 10)
     assert tuple(run.total) == tuple(oracle.best_total)
+    assert pack(run.total) == pack(run.prefix_cost) + 10 * pack(run.suffix_cost)
 
 
 def test_run_well_formed_and_phase_tracking(seq_nba):
@@ -300,28 +303,6 @@ def test_beta_cap_boundary(seq_nba):
             check_beta(bad)
     with pytest.raises(WeightRangeError):
         simulate(load_scenario(ASSETS / "bench_map_a.json"), seq_nba, beta=2.5)
-
-
-def test_total_cost_examples():
-    run = Run(prefix=[0], suffix=[0, 1, 0], accepting=0,
-              prefix_cost=(0, 0), suffix_cost=(0, 40),
-              total=(0, 400))
-    assert total_cost(run, 10) == (0, 400)
-    run = Run(prefix=[2, 0], suffix=[0, 1, 0], accepting=0,
-              prefix_cost=(0, 30), suffix_cost=(0, 40),
-              total=(0, 430))
-    assert total_cost(run, 10) == (0, 430)
-    run = Run(prefix=[2, 0], suffix=[0, 1, 0], accepting=0,
-              prefix_cost=(1, 30), suffix_cost=(2, 40),
-              total=(21, 430))
-    assert total_cost(run, 10) == (21, 430)
-
-
-def test_total_cost_infinite_when_loop_missing():
-    run = Run(prefix=[0], suffix=[], accepting=0,
-              prefix_cost=(0, 0), suffix_cost=(INF, INF),
-              total=(INF, INF))
-    assert total_cost(run, 10) == (INF, INF)
 
 
 def test_beta_validation():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chi_bits, dist, unpack, visit_in_order_hoa
+from conftest import (chi_bits, dist, dist_bits, enabled_bits, guard_predicate, hoa_guards,
+                      unpack, visit_in_order_hoa)
 from tlreplan.hoa import parse_nba
 from tlreplan.labels import APUniverse
-from tlreplan.product import build_product, build_relaxed_product, dist_bits
+from tlreplan.product import build_product, build_relaxed_product
 from tlreplan.weights import STATE_CAP, TRAVEL_CAP, WeightRangeError, pack
 from tlreplan.weights import unpack as unpack_weight
 from tlreplan.world import Belief, ChangeEvent, GridScenario, random_map, to_wts
@@ -55,9 +56,10 @@ def test_dist_single_missing_proposition():
 def test_dist_min_over_enabling_labels():
     # guard (p0 & !p1) | (p1 & p2) with empty destination label:
     # enabling labels enumerate to {p0}, {p0,p2}, {p1,p2}, {p0,p1,p2}; min distance 1
-    nba = _nba("State: 0\n[(0 & !1) | (1 & 2)] 1\nState: 1 {0}\n[t] 1")
-    enabling = set(chi_bits(nba, 0, 1))
-    assert enabling == {0b001, 0b101, 0b110, 0b111}
+    guard = "(0 & !1) | (1 & 2)"
+    nba = _nba(f"State: 0\n[{guard}] 1\nState: 1 {{0}}\n[t] 1")
+    enabling = set(chi_bits(guard, 3))
+    assert enabling == set(enabled_bits(nba, 0, 1)) == {0b001, 0b101, 0b110, 0b111}
     assert min(bits.bit_count() for bits in enabling) == 1
     assert dist_bits(nba, 0, 1, 0) == 1
 
@@ -201,22 +203,21 @@ class TestMapWtsChange:
 
 
 def test_plain_edges_reverified_by_independent_guard_evaluation(seq_nba):
-    from test_hoa import _eval_reference
     from tlreplan.world import Belief, load_scenario, to_wts
     from conftest import ASSETS
     scn = load_scenario(ASSETS / "bench_map_a.json")
     wts = to_wts(scn, Belief(), seq_nba.universe)
     pa = build_product(wts, seq_nba)
-    guards = {}
-    for qm, guard, qn in seq_nba.transitions:
-        guards.setdefault((qm, qn), []).append(guard)
+    text = (ASSETS / "sequence_abcd.hoa").read_text(encoding="utf-8")
+    guards = {pair: [guard_predicate(g) for g in texts]
+              for pair, texts in hoa_guards(text).items()}
     for u in range(pa.n_states):
         pi, qm = unpack(pa, u)
         for v in pa.succ[u]:
             pj, qn = unpack(pa, v)
             assert wts.has_edge(pi, pj)
             bits = wts.labels[pj]
-            assert any(_eval_reference(g, bits) for g in guards.get((qm, qn), []))
+            assert any(holds(bits) for holds in guards.get((qm, qn), []))
 
 
 def test_relaxed_violation_zero_iff_plain_on_benchmark(seq_nba):

@@ -5,21 +5,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tlreplan.weights import (BETA_CAP, INF_W, KM_CAP, SHIFT, STATE_CAP, TRAVEL_CAP,
-                              WeightRangeError, check_states, check_travel, lasso_cost, pack,
-                              path_weight, unpack)
+                              WeightRangeError, check_states, check_travel, pack, path_weight,
+                              unpack)
 
 INF = math.inf
 
 
+def lasso(prefix: tuple, loop: tuple, beta: int) -> tuple:
+    """Prefix plus beta times loop, computed on packed weights, as the planner totals a run."""
+    return unpack(pack(prefix) + beta * pack(loop))
+
+
 def test_addition_is_componentwise():
-    assert lasso_cost((1, 10), (2, 30), 1) == (3, 40)
-    assert lasso_cost((0, 0), (5, 7), 1) == (5, 7)
+    assert lasso((1, 10), (2, 30), 1) == (3, 40)
+    assert lasso((0, 0), (5, 7), 1) == (5, 7)
 
 
 def test_infinity_absorbs():
-    assert lasso_cost(INF_W, (3, 10), 10) == INF_W
-    assert lasso_cost((3, 10), INF_W, 10) == INF_W
-    assert lasso_cost(INF_W, INF_W, 1) == INF_W
+    assert lasso(INF_W, (3, 10), 10) == INF_W
+    assert lasso((3, 10), INF_W, 10) == INF_W
+    assert lasso(INF_W, INF_W, 1) == INF_W
 
 
 def test_lexicographic_order_violation_first():
@@ -35,9 +40,9 @@ def test_infinite_weight_outranks_every_finite_weight():
 
 
 def test_scale_and_zero():
-    assert lasso_cost((0, 0), (1, 30), 10) == (10, 300)
-    assert lasso_cost((2, 5), (1, 30), 10) == (12, 305)
-    assert lasso_cost((0, 0), (0, 0), 99) == (0, 0)
+    assert lasso((0, 0), (1, 30), 10) == (10, 300)
+    assert lasso((2, 5), (1, 30), 10) == (12, 305)
+    assert lasso((0, 0), (0, 0), 99) == (0, 0)
 
 
 def test_equality_decomposes_componentwise():
