@@ -14,15 +14,25 @@ Queue entries are never removed in place: each carries the key it was
 inserted with, and entries whose key no longer matches are skipped or
 refreshed when popped.
 
+State is array-backed: `g` and `rhs` are lists of `graph.size()` slots,
+indexed by state and filled with `UNSEEN`. That is a float infinity of
+its own, so it equals `INF` in every comparison and sum, and `is UNSEEN`
+still tells a slot never written. `reached` is the set of states whose
+rhs was ever written: the goal, and every predecessor of an expanded
+state. A state outside it has every successor at infinity, which is what
+`note_changed_edges` and the planner's skip of untouched loop searches
+rest on.
+
 Invariant: for every state but the goal, rhs is the one-step lookahead
-min over successors v of w(s, v) + g(v); an absent entry means INF.
-D* Lite's optimized expansion step rests on it. When g(u) falls to
-rhs(u), a predecessor's lookahead can only tighten to w + g(u): an O(1)
-update, queued only if its rhs fell and it is now inconsistent (one
-behind a deleted edge is just marked reached, for `note_changed_edges`).
-When g(u) rises to INF, only predecessors whose rhs equals w + the old
-g(u), whose lookahead ran through u, are rescanned. Edge changes and goal
-edges keep full rescans (`update_vertex`). The start key is recomputed
+min over successors v of w(s, v) + g(v). D* Lite's optimized expansion
+step rests on it. When g(u) falls to rhs(u), a predecessor's lookahead
+can only tighten to w + g(u): an O(1) update, queued only if its rhs fell
+and it is now inconsistent (one behind a deleted edge is just marked
+reached). When g(u) rises to INF, only predecessors whose rhs equals w +
+the old g(u), whose lookahead ran through u, are rescanned. Edge changes
+and goal edges keep full rescans (`update_vertex`). An expansion reads
+predecessors straight from the product's `pred` rows, and asks the graph
+only for a state that carries overlay edges. The start key is recomputed
 only when g or rhs of the start changes. Every other key is built inline
 from the g and rhs just read, and the zero heuristic is never called.
 
@@ -30,7 +40,8 @@ from the g and rhs just read, and the zero heuristic is never called.
 and returns False. The popped entry goes back on the queue, so the search
 stays valid and a later call resumes it. Without a budget the limit is
 -1, which no expansion count equals, so the hot loop pays one integer
-comparison per expansion either way.
+comparison per expansion either way. The count is kept in a local and
+written back, to `expansions` and the shared counter, on return.
 """
 
 from __future__ import annotations
@@ -39,6 +50,8 @@ from heapq import heappop, heappush
 
 from .weights import INF, KM_CAP
 
+UNSEEN = float("inf")  # a g or rhs slot never written; == INF, but not INF itself
+
 
 class OverlayGraph:
     """A product automaton plus per-search virtual nodes and edges.
@@ -46,18 +59,20 @@ class OverlayGraph:
     The base adjacency is shared and mutated only through the product's
     own change application; virtual edges (imaginary goals, synthetic
     start) live in private overlay maps so concurrent searches over one
-    product never observe each other's goals. Weights are packed.
+    product never observe each other's goals. Weights are packed. Every
+    overlay reserves id n for a synthetic start and n + 1 for its goal,
+    so the graph has n + 2 nodes. `pred` is the product's own head-indexed
+    rows, and `extra_pred` holds, for each head with overlay edges and for
+    both virtual ids, its overlay tails.
     """
 
     def __init__(self, pa):
-        self.pa = pa
-        self._n = pa.n_states
+        n = pa.n_states
+        self._n = n
+        self.out = pa.out
+        self.pred = pa.pred
         self.extra_succ: dict[int, dict] = {}
-        self.extra_pred: dict[int, dict] = {}
-        self.virtual: set[int] = set()
-
-    def add_virtual(self, node: int):
-        self.virtual.add(node)
+        self.extra_pred: dict[int, dict] = {n: {}, n + 1: {}}
 
     def set_extra(self, u: int, v: int, w):
         self.extra_succ.setdefault(u, {})[v] = w
@@ -66,7 +81,7 @@ class OverlayGraph:
     def succ_items(self, u: int):
         ex = self.extra_succ.get(u)
         if u < self._n:
-            base = self.pa.out[u].items()
+            base = self.out[u].items()
             if ex is None:
                 return base
             return list(base) + list(ex.items())
@@ -75,21 +90,27 @@ class OverlayGraph:
     def pred_items(self, u: int):
         ex = self.extra_pred.get(u)
         if u < self._n:
-            base = self.pa.pred[u].items()
+            base = self.pred[u].items()
             if ex is None:
                 return base
             return list(base) + list(ex.items())
-        return ex.items() if ex is not None else ()
+        return ex.items()
 
     def has_node(self, u: int) -> bool:
-        return 0 <= u < self._n or u in self.virtual
+        return 0 <= u < self._n + 2
 
     def size(self) -> int:
-        return self._n + len(self.virtual)
+        return self._n + 2
 
 
 class SearchInstance:
-    """One incremental search: fixed goal, movable start."""
+    """One incremental search: fixed goal, movable start.
+
+    The graph gives `size()` node ids, `succ_items` and `pred_items`, and
+    two head-indexed maps the expansion reads directly: `pred`, a list of
+    {tail: weight} rows, and `extra_pred`, the heads whose predecessors
+    `pred` does not hold or holds only in part.
+    """
 
     def __init__(self, graph, start: int, goal: int, heuristic=None, log_pops: bool = False,
                  counter: list | None = None):
@@ -109,16 +130,19 @@ class SearchInstance:
     def _reset(self):
         """Forget every value: the search as built, anchored at the current start."""
         self.km = 0
-        self.g: dict[int, int] = {}
-        self.rhs: dict[int, int] = {self.goal: 0}
+        size = self.graph.size()
+        self.g: list = [UNSEEN] * size
+        self.rhs: list = [UNSEEN] * size
+        self.rhs[self.goal] = 0
+        self.reached: set[int] = {self.goal}
         self.U: list = [(*self.calculate_key(self.goal), self.goal)]
 
     # -- keys ----------------------------------------------------------------
 
     def calculate_key(self, s: int) -> tuple:
         """The packed key (m + h(start, s) + km, m), m the lower of g(s) and rhs(s)."""
-        g = self.g.get(s, INF)
-        rhs = self.rhs.get(s, INF)
+        g = self.g[s]
+        rhs = self.rhs[s]
         m = g if g <= rhs else rhs
         return (m + self.h(self.start, s) + self.km, m)
 
@@ -130,15 +154,14 @@ class SearchInstance:
         if u != self.goal:
             best = INF
             for v, w in self.graph.succ_items(u):
-                gv = g.get(v)
-                if gv is not None:
-                    cand = gv + w
-                    if cand < best:
-                        best = cand
+                cand = g[v] + w
+                if cand < best:
+                    best = cand
             rhs[u] = best
+            self.reached.add(u)
         else:
-            best = rhs.get(u, INF)
-        gu = g.get(u, INF)
+            best = rhs[u]
+        gu = g[u]
         if gu != best:
             m = gu if gu <= best else best
             h = self.h
@@ -151,21 +174,26 @@ class SearchInstance:
         With a budget, stop once `budget` states were expanded and more
         are due; returns False if it stopped there, True if it finished.
         """
-        limit = -1 if budget is None else self.expansions + budget
+        done = done0 = self.expansions
+        limit = -1 if budget is None else done + budget
         U = self.U
         g = self.g
         rhs = self.rhs
-        pred_items = self.graph.pred_items
+        reach = self.reached.add
+        graph = self.graph
+        pred = graph.pred
+        extra = graph.extra_pred
         update = self.update_vertex
         log = self.pop_log
         start = self.start
         goal = self.goal
         km = self.km
         h = None if self.h is _zero_h else self.h  # keys as in calculate_key, inline
+        finished = True
         gs = rs = start_top = None
         while U:
-            g_start = g.get(start, INF)
-            r_start = rhs.get(start, INF)
+            g_start = g[start]
+            r_start = rhs[start]
             if g_start is not gs or r_start is not rs:
                 gs, rs = g_start, r_start
                 # state -1 sorts after every entry with the start's key
@@ -173,8 +201,8 @@ class SearchInstance:
             if not (U[0] < start_top or g_start != r_start):
                 break
             k1, k2, u = heappop(U)
-            gu = g.get(u, INF)
-            ru = rhs.get(u, INF)
+            gu = g[u]
+            ru = rhs[u]
             m = gu if gu <= ru else ru
             n1 = m + (km if h is None else h(start, u) + km)
             if k1 != n1 or k2 != m:
@@ -185,38 +213,43 @@ class SearchInstance:
                 continue
             if gu == ru:
                 continue  # stale entry of a now-consistent state
-            n = self.expansions
-            if n == limit:
+            if done == limit:
                 heappush(U, (k1, k2, u))
-                return False
-            self.expansions = n + 1
-            if self.counter is not None:
-                self.counter[0] += 1
+                finished = False
+                break
+            done += 1
             if log is not None:
                 log.append((k1, k2, u))
+            preds = graph.pred_items(u) if u in extra else pred[u].items()
             if gu > ru:
                 # g(u) fell to rhs(u): each lookahead through u can only tighten
                 g[u] = ru
-                for p, w in pred_items(u):
+                for p, w in preds:
                     cand = ru + w
-                    if cand < rhs.get(p, INF):
+                    rp = rhs[p]
+                    if cand < rp:
                         if p != goal:
+                            if rp is UNSEEN:
+                                reach(p)
                             rhs[p] = cand
-                            gp = g.get(p, INF)
+                            gp = g[p]
                             if gp != cand:
                                 m = gp if gp <= cand else cand
                                 shift = km if h is None else h(start, p) + km
                                 heappush(U, (m + shift, m, p))
-                    elif w == INF:
-                        rhs.setdefault(p, INF)  # reached, for note_changed_edges
+                    elif rp is UNSEEN:
+                        reach(p)  # behind a deleted edge, for note_changed_edges
             else:
                 # g(u) rose to infinity: rescan the states whose lookahead ran through u
                 g[u] = INF
-                for p, w in pred_items(u):
-                    if rhs.get(p) == gu + w and w != INF and p != goal:
+                for p, w in preds:
+                    if rhs[p] == gu + w and w != INF and p != goal:
                         update(p)
                 update(u)
-        return True
+        self.expansions = done
+        if self.counter is not None:
+            self.counter[0] += done - done0
+        return finished
 
     # -- change application -----------------------------------------------------
 
@@ -243,22 +276,22 @@ class SearchInstance:
         not hold for edges that did not exist when their target was
         expanded, so callers pass force=True after edge creation.
         """
-        rhs = self.rhs
+        reached = self.reached
         for u in sources:
-            if force or u in rhs:
+            if force or u in reached:
                 self.update_vertex(u)
 
     # -- results -----------------------------------------------------------------
 
     def cost_from(self, s: int = None):
         """Packed cost from `s` (default: the start) to the goal; INF if none."""
-        return self.g.get(self.start if s is None else s, INF)
+        return self.g[self.start if s is None else s]
 
     def extract_path(self, from_state: int = None) -> list[int]:
         """Greedy descent to the goal; ties go to the lowest state index."""
         s = self.start if from_state is None else from_state
         g = self.g
-        if g.get(s, INF) == INF:
+        if g[s] == INF:
             raise ValueError(f"state {s} cannot reach the goal")
         path = [s]
         limit = 2 * self.graph.size() + 10
@@ -266,10 +299,7 @@ class SearchInstance:
             best = INF
             best_v = -1
             for v, w in self.graph.succ_items(s):
-                gv = g.get(v)
-                if gv is None:
-                    continue
-                cand = gv + w
+                cand = g[v] + w
                 if cand < best or (cand == best and v < best_v):
                     best = cand
                     best_v = v

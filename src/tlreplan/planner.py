@@ -3,7 +3,19 @@
 One incremental search per accepting state finds its cheapest loop by
 mirroring the accepting state's incoming edges onto an imaginary goal; a
 main incremental search then reaches an overall imaginary goal whose
-incoming edges carry the loop costs scaled by the suffix weighting.
+incoming edges carry the finite loop costs scaled by the suffix weighting.
+Every search's imaginary goal is id n + 1, and the main search's synthetic
+start id n.
+
+The planner keeps one record per accepting state, but builds a search only
+for a state that some finite edge enters. Any other record has no search
+and the cost INF, which is exact: no loop can close through the state, and
+its search would expand its goal once and find INF. Its goal edge would
+carry INF and queue nothing, so the main search gets none. A change set
+that gives such a state a finite incoming edge (an `add`, or a reweight of
+a deleted edge) marks its record stale, and the repair builds its search
+from scratch; such a set can lower costs, so every stale record is
+repaired at once, and a finite new cost rebuilds the main search.
 
 On the prefix or inside the loop, the problem from the current state is
 the same, so one rule serves both phases. A change set that moves no loop
@@ -122,11 +134,9 @@ class Run:
 class SuffixRecord:
     k: int
     acc: int
-    img: int
-    graph: OverlayGraph
-    instance: SearchInstance
-    cost: int | float  # packed loop cost, INF without a loop
-    fresh: int  # expansions of the last from-scratch solve; sets the repair budget
+    instance: SearchInstance | None = None  # None until a finite edge enters acc
+    cost: int | float = INF  # packed loop cost, INF without a loop
+    fresh: int = 0  # expansions of the last from-scratch solve; sets the repair budget
     loop: list[int] | None = field(default=None)
     stale: bool = False  # changes queued, search not run; cost is a lower bound
     pending: set[int] = field(default_factory=set)  # changed-edge tails, rescanned at repair
@@ -154,8 +164,9 @@ class FreeProduct:
 
     `bound(a, b)` is the main search's heuristic: `step` times the
     Manhattan distance between the cells of a and b. The synthetic start
-    (id `n`) sits on the start cell; every higher id is a virtual goal and
-    reads 0.
+    (id `n`) reads as the nearest of the initial states' cells, a minimum
+    of metrics that keeps the triangle inequality the keys need; every
+    higher id is a virtual goal and reads 0.
     """
 
     def __init__(self, pa, step: int):
@@ -173,14 +184,20 @@ class FreeProduct:
         self.nq = nq
         self.n = n
         self.step = step
-        # step * row and step * col per product state, then the synthetic start
-        cells = [wts.coords[s // nq] for s in range(n)] + [wts.coords[pa.initial[0] // nq]]
+        # step * row and step * col per product state; the synthetic start's
+        # bound to each state, and 0 to itself
+        cells = [wts.coords[s // nq] for s in range(n)]
         rows = [step * r for r, _ in cells]
         cols = [step * c for _, c in cells]
+        starts = {(rows[s], cols[s]) for s in pa.initial}
+        near = [min(abs(r - r0) + abs(c - c0) for r0, c0 in starts)
+                for r, c in zip(rows, cols)] + [0]
 
         def bound(a: int, b: int) -> int:
-            if a > n or b > n:
-                return 0
+            if a >= n or b >= n:
+                if a > n or b > n:
+                    return 0
+                return near[b] if a == n else near[a]
             return abs(rows[a] - rows[b]) + abs(cols[a] - cols[b])
 
         self.bound = bound
@@ -298,7 +315,7 @@ class LTLDStarPlanner(RunFollower):
         self.beta = beta
         n = pa.n_states
         self.synth_start = n
-        self.global_img = n + 1
+        self.goal = n + 1
         self._free = free_product(pa)
         self.records: list[SuffixRecord] = []
         self._rec_by_acc: dict[int, SuffixRecord] = {}
@@ -312,31 +329,26 @@ class LTLDStarPlanner(RunFollower):
     # -- suffix searches ---------------------------------------------------------
 
     def suffix_initialize(self, k: int) -> SuffixRecord:
-        """Set up and solve the loop search for accepting state index k."""
+        """The record of accepting state index k, its loop solved if a finite edge enters it."""
         acc = self.pa.accepting[k]
-        img = self.pa.n_states + 2 + k
-        h = self._loop_heuristic(acc)
-        graph, inst = self._solve_loop(acc, img, h)
-        return SuffixRecord(k, acc, img, graph, inst, inst.cost_from(acc), inst.expansions,
-                            h=h)
+        rec = SuffixRecord(k, acc)
+        if any(w != INF for w in self.pa.pred[acc].values()):
+            self._solve_loop(rec)
+            rec.cost = rec.instance.cost_from(acc)
+        return rec
 
-    def _loop_heuristic(self, acc: int):
-        """The free-product distance from `acc`; None off the grid, or while no
-        finite edge enters `acc` (its search then expands only its goal)."""
-        if self._free is None or all(w == INF for w in self.pa.pred[acc].values()):
-            return None
-        return self._free.heuristic(acc)
-
-    def _solve_loop(self, acc: int, img: int, h):
-        """A loop search through `acc` over the present product, solved from scratch."""
+    def _solve_loop(self, rec: SuffixRecord):
+        """Give `rec` a loop search over the present product, solved from scratch."""
         pa = self.pa
+        if rec.h is None and self._free is not None:
+            rec.h = self._free.heuristic(rec.acc)
         graph = OverlayGraph(pa)
-        graph.add_virtual(img)
-        for p, w in pa.pred[acc].items():
-            graph.set_extra(p, img, w)
-        inst = SearchInstance(graph, start=acc, goal=img, heuristic=h, counter=self._counter)
+        for p, w in pa.pred[rec.acc].items():
+            graph.set_extra(p, self.goal, w)
+        inst = SearchInstance(graph, start=rec.acc, goal=self.goal, heuristic=rec.h,
+                              counter=self._counter)
         inst.compute_shortest_path()
-        return graph, inst
+        rec.instance, rec.fresh, rec.loop = inst, inst.expansions, None
 
     def mark_stale(self, rec: SuffixRecord, mirrors, sources, force: bool = False):
         """Queue a change set in a loop search without searching.
@@ -347,8 +359,9 @@ class LTLDStarPlanner(RunFollower):
         `repair_loop` rescans once: until then g does not move and a rescan
         reads the current weights, so one rescan equals one per change set.
         """
+        graph = rec.instance.graph
         for u, w in mirrors:
-            rec.graph.set_extra(u, rec.img, w)
+            graph.set_extra(u, self.goal, w)
         rec.pending |= sources
         rec.force |= force
         rec.stale = True
@@ -358,18 +371,18 @@ class LTLDStarPlanner(RunFollower):
         """Run a stale loop search to completion; True if its cost moved.
 
         A repair that passes its budget is dropped, and the record is
-        solved from scratch in place.
+        solved from scratch in place, as is a record without a search.
         """
         if not rec.stale:
             return False
-        rec.instance.note_changed_edges(rec.pending, force=rec.force)
-        rec.pending = set()
-        rec.force = False
-        if not rec.instance.compute_shortest_path(budget=max(1, rec.fresh // REPAIR_SHARE)):
-            if rec.h is None:
-                rec.h = self._loop_heuristic(rec.acc)
-            rec.graph, rec.instance = self._solve_loop(rec.acc, rec.img, rec.h)
-            rec.fresh = rec.instance.expansions
+        if rec.instance is None:
+            self._solve_loop(rec)
+        else:
+            rec.instance.note_changed_edges(rec.pending, force=rec.force)
+            rec.pending = set()
+            rec.force = False
+            if not rec.instance.compute_shortest_path(budget=max(1, rec.fresh // REPAIR_SHARE)):
+                self._solve_loop(rec)
         rec.stale = False
         old = rec.cost
         rec.cost = rec.instance.cost_from(rec.acc)
@@ -417,12 +430,15 @@ class LTLDStarPlanner(RunFollower):
         skip_ok = not created  # brand-new edges invalidate the untouched shortcut
         for rec in self.records:
             mirrors = mirrors_by_acc.get(rec.acc)
-            if mirrors is None and skip_ok:
-                rhs = rec.instance.rhs
-                # a loop search that never reached any rewritten source
-                # cannot be affected; its cost is unchanged by construction
-                if rhs.keys().isdisjoint(sources):
-                    continue
+            if rec.instance is None:
+                # no loop closed until a finite edge entered; the repair builds the search
+                if mirrors is not None and any(w != INF for _, w in mirrors):
+                    rec.stale = True
+                continue
+            # a loop search that never reached any rewritten source cannot be
+            # affected; its cost is unchanged by construction
+            if mirrors is None and skip_ok and rec.instance.reached.isdisjoint(sources):
+                continue
             self.mark_stale(rec, mirrors or (), sources, force=not skip_ok)
         if lowers:
             # stale costs stop being lower bounds once a weight may drop
@@ -456,16 +472,15 @@ class LTLDStarPlanner(RunFollower):
     def _build_main(self, start: int):
         """A fresh main search from `start` over the records' present loop costs."""
         graph = OverlayGraph(self.pa)
-        graph.add_virtual(self.global_img)
         beta = self.beta
         for rec in self.records:
-            graph.set_extra(rec.acc, self.global_img, beta * rec.cost)
+            if rec.cost != INF:
+                graph.set_extra(rec.acc, self.goal, beta * rec.cost)
         if start == self.synth_start:
-            graph.add_virtual(self.synth_start)
             for s0 in self.pa.initial:
                 graph.set_extra(self.synth_start, s0, 0)
         bound = None if self._free is None else self._free.bound
-        self.main = SearchInstance(graph, start=start, goal=self.global_img,
+        self.main = SearchInstance(graph, start=start, goal=self.goal,
                                    heuristic=bound, counter=self._counter)
 
     def _extract_run(self, path: list[int] | None) -> Run:

@@ -40,13 +40,14 @@ class DictGraph:
     """Plain adjacency graph implementing the engine's graph protocol.
 
     Like a product, it keeps each edge's packed weight by tail (`out`) and
-    by head (`pred`).
+    by head (`pred`); it has no overlay edges (`extra_pred`).
     """
 
     def __init__(self, n: int):
         self.n = n
         self.out = [dict() for _ in range(n)]
         self.pred = [dict() for _ in range(n)]
+        self.extra_pred = {}
 
     def add_edge(self, u: int, v: int, w: tuple):
         """Add an edge of (violation, travel) weight `w`, or rewrite its weight if it exists."""
@@ -93,24 +94,24 @@ class RescanSearchInstance(SearchInstance):
     Every predecessor of an expanded state is rescanned with `update_vertex`,
     and the start key is recomputed on every pop. `SearchInstance` tightens
     predecessors in O(1) instead; both must expand the same states in the
-    same order and end with the same `g` and `rhs`.
+    same order and end with the same `g`, `rhs` and `reached`.
     """
 
     def compute_shortest_path(self):
         U, g, rhs = self.U, self.g, self.rhs
         while U:
             start_key = self.calculate_key(self.start)
-            if not (U[0][:2] < start_key or g.get(self.start, INF) != rhs.get(self.start, INF)):
+            if not (U[0][:2] < start_key or g[self.start] != rhs[self.start]):
                 break
             k1, k2, u = heappop(U)
             k_old = (k1, k2)
             k_new = self.calculate_key(u)
             if k_old < k_new:
-                if g.get(u, INF) != rhs.get(u, INF):
+                if g[u] != rhs[u]:
                     heappush(U, (*k_new, u))
                 continue
-            gu = g.get(u, INF)
-            ru = rhs.get(u, INF)
+            gu = g[u]
+            ru = rhs[u]
             if k_old > k_new or gu == ru:
                 continue
             self.expansions += 1

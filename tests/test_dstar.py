@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (DictGraph, RescanSearchInstance, apply_edge_changes, random_weighted_graph,
                       reverse_dijkstra_cost)
@@ -22,8 +24,9 @@ def _chain(weights):
 def test_initialize_state():
     g = _chain([10, 10])
     inst = SearchInstance(g, start=0, goal=2, heuristic=lambda a, b: 5 * abs(a - b))
-    assert inst.rhs[2] == pack((0, 0))
-    assert inst.g == {}
+    assert inst.rhs == [INF, INF, pack((0, 0))]
+    assert inst.g == [INF] * 3
+    assert inst.reached == {2}
     assert len(inst.U) == 1
     k1, k2, node = inst.U[0]
     assert node == 2
@@ -136,10 +139,10 @@ def test_empty_change_set_is_noop():
     g = _chain([10, 10])
     inst = SearchInstance(g, 0, 2)
     inst.compute_shortest_path()
-    before = (dict(inst.g), dict(inst.rhs), inst.expansions)
+    before = (list(inst.g), list(inst.rhs), set(inst.reached), inst.expansions)
     apply_edge_changes(inst, [])
     inst.compute_shortest_path()
-    assert (dict(inst.g), dict(inst.rhs), inst.expansions) == before
+    assert (inst.g, inst.rhs, inst.reached, inst.expansions) == before
 
 
 def test_move_start_accumulates_km():
@@ -159,11 +162,12 @@ def test_km_cap_starts_the_search_over():
     inst.compute_shortest_path()
     inst.km = KM_CAP - 11
     inst.move_start(1)  # km reaches KM_CAP - 1: the search is kept
-    assert inst.km == KM_CAP - 1 and inst.g
+    assert inst.km == KM_CAP - 1 and inst.g[1] == pack((0, 20))
     inst.compute_shortest_path()
     assert inst.cost_from() == pack((0, 20))
     inst.move_start(2)  # km would reach KM_CAP + 9: the search starts over from 2
-    assert (inst.start, inst.km, inst.g, inst.rhs) == (2, 0, {}, {3: 0})
+    assert (inst.start, inst.km, inst.g, inst.rhs, inst.reached) == \
+        (2, 0, [INF] * 4, [INF, INF, INF, 0], {3})
     inst.compute_shortest_path()
     assert inst.cost_from() == pack((0, 10))
     assert inst.extract_path() == [2, 3]
@@ -261,7 +265,7 @@ def test_start_move_plus_changes_still_optimal():
 def _lookahead(inst, s):
     best = INF
     for v, w in inst.graph.succ_items(s):
-        gv = inst.g.get(v, INF)
+        gv = inst.g[v]
         if w != INF and gv != INF:
             best = min(best, gv + w)
     return best
@@ -308,8 +312,8 @@ def test_tightening_expansion_matches_rescan_reference(seed):
     Mixed change batches go through `apply_edge_changes` (forced only when an
     edge is created, as in the planner), interleaved with start moves under
     a consistent heuristic. After every search: each state's rhs is its
-    one-step lookahead (absent meaning INF), the start's cost equals a
-    reverse Dijkstra, and pops, g and rhs equal those of the reference that
+    one-step lookahead, the start's cost equals a reverse Dijkstra, and
+    pops, g, rhs and the reached set equal those of the reference that
     rescans every predecessor.
     """
     rng, g, h = _mixed_case(seed)
@@ -321,11 +325,12 @@ def test_tightening_expansion_matches_rescan_reference(seed):
         inst.compute_shortest_path()
         ref.compute_shortest_path()
         for s in range(n - 1):
-            assert inst.rhs.get(s, INF) == _lookahead(inst, s), f"seed {seed} step {step} s {s}"
+            assert inst.rhs[s] == _lookahead(inst, s), f"seed {seed} step {step} s {s}"
         oracle = reverse_dijkstra_cost(g, n - 1)
         assert inst.cost_from() == oracle.get(inst.start, INF), f"seed {seed} step {step}"
         assert inst.pop_log == ref.pop_log, f"seed {seed} step {step}"
-        assert (inst.g, inst.rhs) == (ref.g, ref.rhs), f"seed {seed} step {step}"
+        assert (inst.g, inst.rhs, inst.reached) == (ref.g, ref.rhs, ref.reached), \
+            f"seed {seed} step {step}"
         if rng.random() < 0.5 and inst.cost_from() != INF and inst.start != n - 1:
             nxt = inst.extract_path()[1]
             inst.move_start(nxt)
@@ -342,9 +347,9 @@ def test_budget_stops_after_exactly_that_many_expansions(seed):
     On the mixed change batches and start moves of the tightening test, each
     search runs three ways from copies of one state: unbudgeted, with a budget
     below its expansions, and with a budget at or above them. The first and
-    last return True with the same pops, g and rhs. The cut one returns
-    False after exactly `budget` pops of the same log, and a later call
-    without a budget finishes it to the same pops, g and rhs.
+    last return True with the same pops, g, rhs and reached set. The cut one
+    returns False after exactly `budget` pops of the same log, and a later
+    call without a budget finishes it to the same pops, g, rhs and reached set.
     """
     rng, g, h = _mixed_case(seed)
     n = g.n
@@ -361,9 +366,11 @@ def test_budget_stops_after_exactly_that_many_expansions(seed):
             assert cut.expansions - inst.expansions == budget
             assert cut.pop_log == full.pop_log[:done + budget]
             assert cut.compute_shortest_path() is True
-            assert (cut.pop_log, cut.g, cut.rhs) == (full.pop_log, full.g, full.rhs)
+            assert (cut.pop_log, cut.g, cut.rhs, cut.reached) == \
+                (full.pop_log, full.g, full.rhs, full.reached)
         assert inst.compute_shortest_path(budget=need + rng.randint(0, 3)) is True
-        assert (inst.pop_log, inst.g, inst.rhs) == (full.pop_log, full.g, full.rhs)
+        assert (inst.pop_log, inst.g, inst.rhs, inst.reached) == \
+            (full.pop_log, full.g, full.rhs, full.reached)
         if rng.random() < 0.5 and inst.cost_from() != INF and inst.start != n - 1:
             inst.move_start(inst.extract_path()[1])
         apply_edge_changes(inst, _random_batch(rng, g))
@@ -384,3 +391,44 @@ def test_restored_edge_reaches_a_state_behind_it():
     apply_edge_changes(inst, [(0, 1, (0, 5))])
     inst.compute_shortest_path()
     assert inst.cost_from() == pack((0, 5))
+
+
+@st.composite
+def _restore_case(draw):
+    """A small graph with some edges deleted, then batches that delete, rewrite and restore."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), min_size=1, max_size=24, unique=True))
+    weight = st.one_of(st.just(INF_W), st.tuples(st.integers(0, 2), st.integers(1, 9)))
+    initial = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    change = st.tuples(st.integers(0, len(pairs) - 1), weight)
+    batches = draw(st.lists(st.lists(change, min_size=1, max_size=4), min_size=1, max_size=5))
+    return n, pairs, initial, batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(_restore_case())
+def test_reached_shortcut_matches_forced_rescan(case):
+    """Skipping unreached tails in `note_changed_edges` is exact.
+
+    Two searches over copies of one graph take the same batches of rewrites,
+    deleted edges coming back among them: one requeues only reached tails,
+    the other every tail (`force=True`). After each search both hold the same
+    g, rhs and path, and the cost equals a reverse Dijkstra.
+    """
+    n, pairs, initial, batches = case
+    graphs = [DictGraph(n), DictGraph(n)]
+    for g in graphs:
+        for (u, v), w in zip(pairs, initial):
+            g.add_edge(u, v, w)
+    short, forced = (SearchInstance(g, start=0, goal=n - 1) for g in graphs)
+    for batch in [[]] + batches:
+        for inst, force in ((short, False), (forced, True)):
+            for i, w in batch:
+                inst.graph.add_edge(*pairs[i], w)
+            inst.note_changed_edges({pairs[i][0] for i, _w in batch}, force=force)
+            inst.compute_shortest_path()
+        assert (short.g, short.rhs) == (forced.g, forced.rhs)
+        assert short.cost_from() == reverse_dijkstra_cost(graphs[0], n - 1).get(0, INF)
+        if short.cost_from() != INF:
+            assert short.extract_path() == forced.extract_path()

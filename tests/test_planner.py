@@ -288,7 +288,8 @@ def test_suffix_independence(seq_nba):
     mod = [PAEdgeChange(pa.sid(pi, 0), pa.sid(target, 0), (INF, INF))]
     pa.apply_changes(mod)
     for rec in planner.records:
-        repair_with(planner, rec, mod)
+        if rec.instance is not None:  # a deletion gives no other record a search
+            repair_with(planner, rec, mod)
     for rec, before in zip(planner.records, costs_before):
         if rec.cost != before:
             # only loops actually using that edge may move; clean ones stay
@@ -413,7 +414,7 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
                 assert rec.cost == exact
         seen["stale"] |= any(rec.stale for rec in planner.records)
         # a repair past its budget leaves the record with a new search
-        seen["abandoned"] |= any(rec.instance is not old
+        seen["abandoned"] |= any(old is not None and rec.instance is not old
                                  for rec, old in zip(planner.records, searches))
         # every live loop search is focused by its free-product distance
         assert all(rec.h is not None for rec in planner.records if rec.cost != INF)
@@ -464,7 +465,7 @@ def test_deferred_rescans_accumulate_until_a_lowering_batch(relaxed):
         at_target = [(i, target) for i in near] + [(target, j) for j in near]
         tails = replan(raised(at_target))
         assert rec.stale and tails <= rec.pending
-        reached = {s // pa.nq for s in rec.instance.rhs if s < pa.n_states}
+        reached = {s // pa.nq for s in rec.instance.reached if s < pa.n_states}
         far = next((i, j) for i, j, d in wts.edges() if i not in reached and d != INF)
         tails = replan(raised([far]))
         assert rec.stale and not tails <= rec.pending  # skipped
@@ -639,7 +640,8 @@ def test_blocked_run_loop_is_solved_again_from_scratch(seq_nba, relaxed):
     run = planner.replan(mod)
     assert rec.instance is not old and not rec.stale
     ref = planner.suffix_initialize(rec.k).instance
-    assert (rec.instance.g, rec.instance.rhs) == (ref.g, ref.rhs)
+    assert (rec.instance.g, rec.instance.rhs, rec.instance.reached) == \
+        (ref.g, ref.rhs, ref.reached)
     assert rec.fresh == ref.expansions
     assert rec.cost == loop_cost(pa, rec.acc)[0]
     fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
@@ -784,6 +786,98 @@ def test_synthetic_start_runs_match_fresh_solve(seq_nba_anchored, name, relaxed)
 
     simulate(scn, seq_nba_anchored, mode="relaxed" if relaxed else "plain", replan_hook=hook)
     assert runs[0] == "initial" and len(runs) > 1
+
+
+def _run_matches_fresh(planner, run, sources):
+    fresh, _ = solve_fresh(copy.deepcopy(planner.pa), sources, planner.beta)
+    assert (run.prefix, run.suffix, run.total) == (fresh.prefix, fresh.suffix, fresh.total)
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
+@pytest.mark.parametrize("name", ("bench_map_a", "bench_map_b", "ring_unique", "suffix_blockage"))
+def test_initial_states_in_two_cells_match_fresh_solve(seq_nba, name, relaxed):
+    """A second initial cell puts the main search on a synthetic start between two cells.
+
+    Its bound reads the nearer initial cell, so it stays admissible. For ten
+    random second cells per map, the initial plan, a replan that raises the
+    edges along the run, and one that restores them after two steps each
+    equal `solve_fresh` on a copy of the product.
+    """
+    scn = load_scenario(ASSETS / f"{name}.json")
+    rng = random.Random(name)
+    free = sorted(c for c in scn.cells() if c not in scn.obstacles and c != scn.start)
+    for cell in rng.sample(free, 10):
+        wts = to_wts(scn, initial_belief(scn), seq_nba.universe)
+        wts.init.append(wts.coords.index(cell))
+        pa = (build_relaxed_product if relaxed else build_product)(wts, seq_nba)
+        planner = LTLDStarPlanner(pa, beta=10)
+        try:
+            run = planner.plan_initial()
+        except NoAcceptingRun:
+            with pytest.raises(NoAcceptingRun):
+                solve_fresh(copy.deepcopy(pa), list(pa.initial), 10)
+            continue
+        _run_matches_fresh(planner, run, list(pa.initial))
+        states = run.states()
+        edges = sorted({(s // pa.nq, t // pa.nq) for s, t in zip(states, states[1:])
+                        if s // pa.nq != t // pa.nq})[:3]
+        for travel in (lambda i, j: wts.weight(i, j) + 40, wts.weight):
+            mod = [ch for i, j in edges
+                   for ch in pa.map_wts_change(ChangeEvent("reweight", i, j, travel(i, j)))]
+            sources = [planner.current_state]
+            if sources == [planner.synth_start]:
+                sources = list(pa.initial)
+            _run_matches_fresh(planner, planner.replan(mod), sources)
+            planner.advance()
+            planner.advance()
+
+
+def test_plain_plan_builds_one_loop_search(seq_nba):
+    """In plain `sequence_abcd` only the a-cell's accepting state has a finite
+    incoming edge, so `plan_initial` builds one loop search among 100 records."""
+    scn = load_scenario(ASSETS / "bench_map_a.json")
+    pa = build_product(to_wts(scn, initial_belief(scn), seq_nba.universe), seq_nba)
+    planner = LTLDStarPlanner(pa, beta=10)
+    planner.plan_initial()
+    assert len(planner.records) == 100
+    built = [rec for rec in planner.records if rec.instance is not None]
+    assert [rec.acc for rec in built] == [planner.run.accepting]
+    assert all(rec.cost == INF for rec in planner.records if rec.instance is None)
+
+
+@pytest.mark.parametrize("kind", ["reweight", "add"])
+def test_edge_into_a_never_entered_accepting_state_builds_its_search(seq_nba, kind):
+    """A second a-cell behind a wall, every edge into it deleted: its accepting
+    state has a record but no search. A reweight of a deleted edge into it, or
+    an `add` through the wall, builds the search and rebuilds the main search,
+    and the run equals `solve_fresh` on a copy of the product."""
+    scn = load_scenario(ASSETS / "bench_map_a.json")
+    labeled = set().union(*scn.regions.values())
+    cell, across = next((b, a) for a, b in sorted(tuple(sorted(w)) for w in scn.walls)
+                        if not {a, b} & (scn.obstacles | labeled))
+    scn.regions["a"] = scn.regions["a"] | {cell}
+    wts = to_wts(scn, initial_belief(scn), seq_nba.universe)
+    pa = build_product(wts, seq_nba)
+    j = wts.coords.index(cell)
+    into = [i for i in range(wts.n_states) if wts.has_edge(i, j)]
+    pa.apply_changes([ch for i in into for ch in pa.map_wts_change(ChangeEvent("delete", i, j))])
+    planner = LTLDStarPlanner(pa, beta=10)
+    planner.plan_initial()
+    rec = planner._rec_by_acc[pa.sid(j, 4)]
+    assert rec.instance is None and rec.cost == INF
+    assert sum(r.instance is not None for r in planner.records) == 1
+    main = planner.main
+    if kind == "add":
+        event = ChangeEvent("add", wts.coords.index(across), j, scn.move_cost)
+    else:
+        event = ChangeEvent("reweight", into[0], j, scn.move_cost)
+    mod = pa.map_wts_change(event)
+    start = planner.current_state
+    run = planner.replan(mod)
+    assert rec.instance is not None and not rec.stale
+    assert rec.cost == loop_cost(pa, rec.acc)[0] != INF
+    assert planner.main is not main
+    _run_matches_fresh(planner, run, [start])
 
 
 def test_waypoint_graph_loop_searches_stay_unfocused():
