@@ -116,7 +116,7 @@ def cmd_simulate(args) -> int:
     summary = report.to_json_dict()
     summary.pop("events")
     print(json.dumps(summary, indent=1))
-    if report.infeasible and args.mode == "plain":
+    if report.infeasible:
         return EXIT_INFEASIBLE
     return EXIT_OK
 

@@ -11,13 +11,14 @@ named error rather than half-parsed; a repeated `Start:` state counts once.
 The guard parser compiles each guard straight to a deduplicated list of
 consistent cubes `(pos, neg)`: bit masks of the propositions a label must
 hold and must not hold. No expression tree is kept; the cubes are the one
-definition of guard semantics. The guard holds on a label exactly when one
-of its cubes does, so enabling is two mask tests per cube, and the least
-number of propositions to flip so that a label enables the guard is the
-least `popcount(pos & ~bits) + popcount(neg & bits)` over its cubes. A
-guard whose cube list would exceed `MAX_GUARD_CUBES` is rejected with
-`GuardTooLargeError` as soon as a product passes the bound, instead of
-expanded.
+definition of guard semantics. The least number of propositions to flip
+so that a label enables the guard is the least
+`popcount(pos & ~bits) + popcount(neg & bits)` over its cubes
+(`cubes_distance`), and the guard holds on a label exactly when that
+number is 0. A guard whose cube list would exceed `MAX_GUARD_CUBES` is
+rejected with `GuardTooLargeError` as soon as a product passes the bound,
+instead of expanded. A `States:` count at or above `weights.STATE_CAP` is
+rejected before any state is allocated, since no product over it fits.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .labels import APUniverse
+from .weights import STATE_CAP
 
 MAX_GUARD_CUBES = 1 << 16
 
@@ -127,11 +129,6 @@ def parse_guard(text: str, n_props: int, line: int = 0) -> tuple[tuple[int, int]
         kind, value, col = tokens[pos]
         raise HoaParseError(f"unexpected {value!r} after guard", line, col)
     return tuple(cubes)
-
-
-def cubes_enable(cubes, bits: int) -> bool:
-    """True when label `bits` satisfies one of the cubes."""
-    return any(bits & pos == pos and not bits & neg for pos, neg in cubes)
 
 
 def cubes_distance(cubes, bits: int) -> int:
@@ -244,6 +241,9 @@ def parse_nba(text: str) -> NBA:
             seen_headers.add(header)
         if header == "States":
             n_states = _parse_int(value, "States", lineno)
+            if n_states >= STATE_CAP:
+                raise HoaParseError(f"States: {n_states} reaches the product cap of "
+                                    f"{STATE_CAP} states", lineno)
         elif header == "Start":
             if "&" in value:
                 raise UnsupportedHoaError("conjunctive initial states are not supported", lineno)

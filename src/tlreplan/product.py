@@ -1,24 +1,24 @@
 """Product of a WTS and a Buchi automaton, plain or relaxed.
 
-Plain mode contains exactly the transitions whose destination label enables
-the automaton move. Relaxed mode additionally inserts, for every workspace
-edge and every automaton transition with a nonempty enabling-label set, an
-edge penalized by the minimal label distance needed to pretend the move was
-legal. That violation is the minimum, over the cubes `(pos, neg)` of the
-transition's guards, of `popcount(pos & ~bits) + popcount(neg & bits)` for
-the destination label `bits`: the exact Hamming distance to the nearest
-enabling label, found without listing the labels. Each product edge
-carries a packed (violation, travel) weight (see `weights`); deletions keep
-the edge with an infinite weight so incremental searches can treat them as
-cost changes.
+Relaxed mode holds, for every workspace edge and every automaton
+transition with a nonempty enabling-label set, an edge penalized by the
+minimal label distance needed to pretend the move was legal. That
+violation is the minimum, over the cubes `(pos, neg)` of the transition's
+guards, of `popcount(pos & ~bits) + popcount(neg & bits)` for the
+destination label `bits`: the exact Hamming distance to the nearest
+enabling label, found without listing the labels. Plain mode is the
+violation-0 slice of the same rows, in the same order: exactly the
+transitions whose destination label enables the automaton move. Each
+product edge carries a packed (violation, travel) weight (see `weights`);
+deletions keep the edge with an infinite weight so incremental searches can
+treat them as cost changes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .hoa import NBA, cubes_distance, cubes_enable
+from .hoa import NBA, cubes_distance
 from .weights import INF, INF_W, SHIFT, check_states, check_travel, pack, unpack
 from .wts import WTS
 
@@ -35,26 +35,12 @@ class PAEdgeChange:
     weight: tuple
 
 
-class _WeightRow(Mapping):
-    """Read-only (violation, travel) view of one packed adjacency row."""
+class WeightView:
+    """Read-only (violation, travel) snapshots of a packed adjacency.
 
-    __slots__ = ("_row",)
-
-    def __init__(self, row: dict):
-        self._row = row
-
-    def __getitem__(self, v):
-        return unpack(self._row[v])
-
-    def __iter__(self):
-        return iter(self._row)
-
-    def __len__(self):
-        return len(self._row)
-
-
-class WeightView(Sequence):
-    """Read-only (violation, travel) view of a packed adjacency: `view[u][v]`."""
+    `view[u]` is a fresh `{v: (violation, travel)}` dict built from row u;
+    writing into it changes neither the adjacency nor the next snapshot.
+    """
 
     __slots__ = ("_rows",)
 
@@ -62,18 +48,16 @@ class WeightView(Sequence):
         self._rows = rows
 
     def __getitem__(self, u):
-        return _WeightRow(self._rows[u])
-
-    def __len__(self):
-        return len(self._rows)
+        return {v: unpack(w) for v, w in self._rows[u].items()}
 
 
 class ProductAutomaton:
     """Adjacency-form product: each edge's packed weight, by tail and by head.
 
     `out[u]` maps each head v to the packed weight of u -> v, and `pred[v]`
-    maps each tail u to the same weight. `succ` is a read-only
-    (violation, travel) view of `out`, for callers outside the searches.
+    maps each tail u to the same weight. `succ[u]` is a fresh
+    `{v: (violation, travel)}` snapshot of `out[u]`, for callers outside the
+    searches.
     """
 
     def __init__(self, wts: WTS, nba: NBA, mode: str = PLAIN):
@@ -128,12 +112,10 @@ class ProductAutomaton:
         """(q_m, q_n, packed violation) triples applicable to a destination label."""
         pairs = self._pairs.get(bits)
         if pairs is None:
-            if self.mode == PLAIN:
-                pairs = [(qm, qn, 0) for qm, qn, cubes in self._pair_cubes
-                         if cubes_enable(cubes, bits)]
-            else:
-                pairs = [(qm, qn, cubes_distance(cubes, bits) << SHIFT)
-                         for qm, qn, cubes in self._pair_cubes if cubes]
+            pairs = [(qm, qn, cubes_distance(cubes, bits) << SHIFT)
+                     for qm, qn, cubes in self._pair_cubes if cubes]
+            if self.mode == PLAIN:  # the moves the label enables: the violation-free rows
+                pairs = [p for p in pairs if not p[2]]
             self._pairs[bits] = pairs
         return pairs
 

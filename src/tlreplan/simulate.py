@@ -3,8 +3,15 @@
 The robot follows its planner's run one edge at a time. Arriving at a cell
 it senses the 4-neighborhood; newly revealed objects become product-edge
 changes and trigger a timed replan. A traversal finishes after the
-configured number of loop completions, or halts in place when even the
-relaxed product admits no accepting run.
+configured number of loop completions, or halts in place when the product
+it plans on admits no accepting run.
+
+Every replan, successful or not, yields one `EventRow` and one hook call;
+a replan with no run records an `INF_W` total, and an initial plan with no
+run records its expansions and an `INF_W` initial total. The trace files
+are declared by the dataclasses: the JSON holds every `TraceReport` field
+but `recorded`, in declaration order, and the CSV one column per `EventRow`
+field (`CSV_HEADER`); INF is written as `null` in JSON and `inf` in CSV.
 """
 
 from __future__ import annotations
@@ -12,12 +19,12 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .baselines import IterativeReplanner, LocalRevisionReplanner
 from .planner import LTLDStarPlanner, NoAcceptingRun
 from .product import PLAIN, RELAXED, build_product, build_relaxed_product
-from .weights import INF, unpack
+from .weights import INF, INF_W, unpack
 from .world import GridScenario, initial_belief, sense, to_wts
 
 ALGO_LTL_DSTAR = "ltl-dstar"
@@ -26,19 +33,20 @@ ALGO_LOCAL = "local-revision"
 ALGORITHMS = (ALGO_LTL_DSTAR, ALGO_ITERATIVE, ALGO_LOCAL)
 MODES = (PLAIN, RELAXED, "auto")
 
-CSV_HEADER = ["event", "phase", "mod_size", "wall_time_ns", "expansions",
-              "total_violation", "total_travel"]
-
-
 @dataclass
 class EventRow:
-    index: int
+    """One replanning event; its fields are the trace's event columns, in order."""
+
+    event: int
     phase: str
     mod_size: int
     wall_time_ns: int
     expansions: int
     total_violation: float
     total_travel: float
+
+
+CSV_HEADER = [f.name for f in fields(EventRow)]
 
 
 @dataclass
@@ -52,6 +60,8 @@ class RecordedEvent:
 
 @dataclass
 class TraceReport:
+    """One mission's outcome; every field but `recorded` is written to the JSON trace."""
+
     algo: str
     mode: str
     beta: int
@@ -76,45 +86,18 @@ class TraceReport:
         return [e.wall_time_ns for e in self.events]
 
     def to_json_dict(self) -> dict:
-        return {
-            "algo": self.algo,
-            "mode": self.mode,
-            "beta": self.beta,
-            "width": self.width,
-            "height": self.height,
-            "loops_requested": self.loops_requested,
-            "completed": self.completed,
-            "infeasible": self.infeasible,
-            "loops_done": self.loops_done,
-            "steps": self.steps,
-            "initial_ns": self.initial_ns,
-            "initial_expansions": self.initial_expansions,
-            "initial_violation": _jsonable(self.initial_violation),
-            "initial_travel": _jsonable(self.initial_travel),
-            "traversed_violation": self.traversed_violation,
-            "traversed_travel": self.traversed_travel,
-            "fallbacks": self.fallbacks,
-            "events": [
-                {
-                    "event": e.index,
-                    "phase": e.phase,
-                    "mod_size": e.mod_size,
-                    "wall_time_ns": e.wall_time_ns,
-                    "expansions": e.expansions,
-                    "total_violation": _jsonable(e.total_violation),
-                    "total_travel": _jsonable(e.total_travel),
-                }
-                for e in self.events
-            ],
-        }
+        """The fields in declaration order, events as dicts, INF as None."""
+        out = _json_fields(self, skip=("events", "recorded"))
+        out["events"] = [_json_fields(e) for e in self.events]
+        return out
+
+
+def _json_fields(obj, skip=()) -> dict:
+    return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
 
 
 def _jsonable(x):
     return None if x == INF else x
-
-
-def _csv_cell(x):
-    return "inf" if x == INF else x
 
 
 def write_trace_json(report: TraceReport, path):
@@ -124,12 +107,11 @@ def write_trace_json(report: TraceReport, path):
 
 
 def write_trace_csv(report: TraceReport, path):
+    """One row per event; INF is written as `inf`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for e in report.events:
-            writer.writerow([e.index, e.phase, e.mod_size, e.wall_time_ns, e.expansions,
-                             _csv_cell(e.total_violation), _csv_cell(e.total_travel)])
+        writer.writerows([getattr(e, name) for name in CSV_HEADER] for e in report.events)
 
 
 def build_world(scenario: GridScenario, nba, mode: str):
@@ -169,19 +151,19 @@ def simulate(scenario: GridScenario, nba, beta: int = 10, mode: str = PLAIN,
     try:
         run = planner.plan_initial()
     except NoAcceptingRun:
-        report.initial_ns = time.perf_counter_ns() - t0
-        report.infeasible = True
-        return report
+        run = None
     report.initial_ns = time.perf_counter_ns() - t0
     report.initial_expansions = planner.last_expansions
-    report.initial_violation, report.initial_travel = run.total
+    report.initial_violation, report.initial_travel = INF_W if run is None else run.total
+    if run is None:
+        report.infeasible = True
+        return report
     if replan_hook is not None:
         replan_hook("initial", planner, run, [])
 
     coords = pa.wts.coords
     nq = pa.nq
     max_steps = loops * scenario.width * scenario.height * 50 + 1000
-    event_index = 0
 
     while report.loops_done < loops:
         cur = planner.current_state
@@ -206,30 +188,24 @@ def simulate(scenario: GridScenario, nba, beta: int = 10, mode: str = PLAIN,
         mod = []
         for ev in events:
             mod.extend(pa.map_wts_change(ev))
-        if record:
-            report.recorded.append(
-                RecordedEvent(planner.current_state, planner.phase, list(mod)))
         phase = planner.phase
+        if record:
+            report.recorded.append(RecordedEvent(planner.current_state, phase, list(mod)))
         t0 = time.perf_counter_ns()
         try:
             run = planner.replan(mod)
         except NoAcceptingRun:
-            dt = time.perf_counter_ns() - t0
-            report.events.append(EventRow(event_index, phase, len(mod), dt,
-                                          planner.last_expansions, INF, INF))
-            report.infeasible = True
-            report.fallbacks = getattr(planner, "fallbacks", 0)
-            if replan_hook is not None:
-                replan_hook("infeasible", planner, None, mod)
-            return report
+            run = None
         dt = time.perf_counter_ns() - t0
-        report.events.append(EventRow(event_index, phase, len(mod), dt,
-                                      planner.last_expansions, *run.total))
+        report.events.append(EventRow(len(report.events), phase, len(mod), dt,
+                                      planner.last_expansions,
+                                      *(INF_W if run is None else run.total)))
+        report.infeasible = run is None
         if replan_hook is not None:
-            replan_hook("replan", planner, run, mod)
-        event_index += 1
+            replan_hook("infeasible" if run is None else "replan", planner, run, mod)
+        if report.infeasible:
+            break
 
-    report.completed = True
+    report.completed = not report.infeasible
     report.fallbacks = getattr(planner, "fallbacks", 0)
     return report
-

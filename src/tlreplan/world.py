@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .baselines import lex_dijkstra, loop_cost
 from .labels import APUniverse
 from .product import build_product
-from .weights import INF, check_travel
+from .weights import INF, STATE_CAP, WeightRangeError, check_travel
 from .wts import WTS
 
 Cell = tuple[int, int]
@@ -120,8 +120,10 @@ def to_wts(scenario: GridScenario, belief: Belief, universe: APUniverse) -> WTS:
     """Belief transition system: free cells, 4-neighbor edges, region labels.
 
     Only regions named in the automaton's universe become label bits; the
-    automaton owns the vocabulary, extra regions are inert.
+    automaton owns the vocabulary, extra regions are inert. A grid of
+    `STATE_CAP` free cells or more is rejected before any cell is visited.
     """
+    _check_cells(scenario.width * scenario.height - len(belief.known_obstacles))
     label_bits = {}
     names = set(universe.names)
     for name, cells in scenario.regions.items():
@@ -148,6 +150,12 @@ def to_wts(scenario: GridScenario, belief: Belief, universe: APUniverse) -> WTS:
         raise ValueError("start cell is believed blocked")
     init = [index[scenario.start]]
     return WTS(universe, len(coords), labels, init, succ, coords=coords)
+
+
+def _check_cells(n: int) -> None:
+    """Reject `n` grid cells, one WTS state each: every product over them reaches the cap."""
+    if n >= STATE_CAP:
+        raise WeightRangeError(f"{n} grid cells reach the product cap of {STATE_CAP} states")
 
 
 def initial_belief(scenario: GridScenario) -> Belief:
@@ -223,12 +231,15 @@ def random_map(seed: int, n: int, density: float, nba=None, retries: int = 200,
 
     Regeneration repeats with derived seeds until the ground truth admits a
     violation-free run (checked against `nba` when given, otherwise by free
-    connectivity of the region cells).
+    connectivity of the region cells). A map of `STATE_CAP` cells or more
+    is rejected before any cell is rolled: a mission's first belief holds
+    every cell but the few its start sees.
     """
     if not 0 <= density < 1:
         raise ValueError(f"density must be in [0, 1), got {density}")
     if n < 4:
         raise ValueError(f"map size must be at least 4, got {n}")
+    _check_cells(n * n)
     for attempt in range(retries):
         rng = random.Random(seed * 1000003 + attempt)
         half = n // 2

@@ -9,7 +9,7 @@ import pytest
 
 from tlreplan.baselines import lex_dijkstra, loop_cost, solve_fresh
 from tlreplan.dstar import SearchInstance
-from tlreplan.hoa import cubes_distance, cubes_enable, parse_nba_file
+from tlreplan.hoa import cubes_distance, parse_nba_file
 from tlreplan.labels import APUniverse, APUniverseError
 from tlreplan.planner import NoAcceptingRun
 from tlreplan.product import PLAIN, RELAXED, ProductAutomaton
@@ -19,6 +19,12 @@ from tlreplan.weights import unpack as unpack_weight
 from tlreplan.world import GridScenario
 
 ASSETS = Path(__file__).resolve().parent.parent / "src" / "tlreplan" / "assets"
+
+# A scenario whose start cell is walled in by obstacles it sees at once, so
+# no run exists in any mode
+BOXED_START = {"width": 6, "height": 6, "obstacles": [[0, 1], [1, 0]],
+               "regions": {"a": [[2, 2]], "b": [[0, 5]], "c": [[5, 5]], "d": [[5, 0]]},
+               "start": [0, 0]}
 
 
 @pytest.fixture(scope="session")
@@ -209,6 +215,15 @@ def chi_bits(guard: str, n_props: int) -> tuple[int, ...]:
 def chi(guard: str, universe: APUniverse) -> set:
     """Labels satisfying `guard`; empty set if none."""
     return {Label(universe, b) for b in chi_bits(guard, universe.size)}
+
+
+def cubes_enable(cubes, bits: int) -> bool:
+    """True when label `bits` satisfies one of the cubes: the enabling oracle.
+
+    The library reads enabling as `cubes_distance(cubes, bits) == 0`, the
+    violation-free rows of the relaxed product.
+    """
+    return any(bits & pos == pos and not bits & neg for pos, neg in cubes)
 
 
 def enabled_bits(nba, qm: int, qn: int) -> tuple[int, ...]:

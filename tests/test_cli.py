@@ -3,13 +3,21 @@ import json
 
 import pytest
 
-from conftest import ASSETS
+from conftest import ASSETS, BOXED_START
 from tlreplan.cli import BENCH_HEADER, SUMMARY_HEADER, main
+from tlreplan.simulate import CSV_HEADER
 
 SEQ = str(ASSETS / "sequence_abcd.hoa")
 SEQ32 = str(ASSETS / "sequence_abcd_32.hoa")
 MAP_A = str(ASSETS / "bench_map_a.json")
 BLOCKED = str(ASSETS / "bench_map_blocked_c.json")
+
+TRACE_KEYS = ["algo", "mode", "beta", "width", "height", "loops_requested", "completed",
+              "infeasible", "loops_done", "steps", "initial_ns", "initial_expansions",
+              "initial_violation", "initial_travel", "traversed_violation",
+              "traversed_travel", "fallbacks", "events"]
+EVENT_KEYS = ["event", "phase", "mod_size", "wall_time_ns", "expansions", "total_violation",
+              "total_travel"]
 
 
 def test_build_reports_product_sizes(capsys):
@@ -74,10 +82,13 @@ def test_simulate_writes_traces_and_succeeds(tmp_path, capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["completed"] is True
+    assert list(summary) == TRACE_KEYS[:-1]
     with open(f"{out}.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][:3] == ["event", "phase", "mod_size"]
-    assert json.loads((tmp_path / "trace.json").read_text())["events"]
+    assert rows[0] == CSV_HEADER == EVENT_KEYS
+    data = json.loads((tmp_path / "trace.json").read_text())
+    assert list(data) == TRACE_KEYS
+    assert data["events"] and all(list(e) == EVENT_KEYS for e in data["events"])
 
 
 def test_simulate_infeasible_exit_code(capsys):
@@ -87,6 +98,15 @@ def test_simulate_infeasible_exit_code(capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["completed"] is True
     assert summary["traversed_violation"] > 0
+
+
+@pytest.mark.parametrize("mode", ["plain", "relaxed", "auto"])
+def test_simulate_infeasible_start_exits_3_in_every_mode(mode, tmp_path, capsys):
+    boxed = tmp_path / "boxed.json"
+    boxed.write_text(json.dumps(BOXED_START))
+    assert main(["simulate", SEQ, str(boxed), "--mode", mode]) == 3
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["infeasible"] is True and summary["initial_travel"] is None
 
 
 def test_simulate_random_scenario(capsys):

@@ -4,9 +4,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ASSETS, chi, chi_bits, delta, dist_bits, enabled_bits, hoa_guards
+from conftest import (ASSETS, chi, chi_bits, cubes_enable, delta, dist_bits, enabled_bits,
+                      hoa_guards)
 from tlreplan.hoa import (MAX_GUARD_CUBES, GuardTooLargeError, HoaParseError,
-                          UnsupportedHoaError, cubes_enable, parse_guard, parse_nba)
+                          UnsupportedHoaError, parse_guard, parse_nba)
+from tlreplan.weights import STATE_CAP
 
 EVENTUALLY_A = """HOA: v1
 States: 2
@@ -226,6 +228,13 @@ def test_over_bound_guard_raises_named_error_quickly(text):
     assert time.perf_counter() - start < 1
     assert exc.value.line == 9
     assert isinstance(exc.value, HoaParseError)
+
+
+def test_state_count_at_the_product_cap_is_rejected_in_the_header():
+    text = EVENTUALLY_A.replace("States: 2", f"States: {STATE_CAP}")
+    with pytest.raises(HoaParseError, match="cap") as exc:
+        parse_nba(text)
+    assert exc.value.line == 2
 
 
 def test_guard_at_the_bound_and_wide_disjunctions_compile():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (chi_bits, dist, dist_bits, enabled_bits, guard_predicate, hoa_guards,
-                      unpack, visit_in_order_hoa)
+                      visit_in_order_hoa)
 from tlreplan.hoa import parse_nba
 from tlreplan.labels import APUniverse
 from tlreplan.product import build_product, build_relaxed_product
@@ -211,13 +211,11 @@ def test_plain_edges_reverified_by_independent_guard_evaluation(seq_nba):
     text = (ASSETS / "sequence_abcd.hoa").read_text(encoding="utf-8")
     guards = {pair: [guard_predicate(g) for g in texts]
               for pair, texts in hoa_guards(text).items()}
-    for u in range(pa.n_states):
-        pi, qm = unpack(pa, u)
-        for v in pa.succ[u]:
-            pj, qn = unpack(pa, v)
-            assert wts.has_edge(pi, pj)
-            bits = wts.labels[pj]
-            assert any(holds(bits) for holds in guards.get((qm, qn), []))
+    enabled = {(pi * pa.nq + qm, pj * pa.nq + qn)
+               for pi, row in enumerate(wts.succ) for pj in row
+               for (qm, qn), preds in guards.items()
+               if any(holds(wts.labels[pj]) for holds in preds)}
+    assert {(u, v) for u in range(pa.n_states) for v in pa.succ[u]} == enabled
 
 
 def test_relaxed_violation_zero_iff_plain_on_benchmark(seq_nba):
@@ -294,11 +292,14 @@ def test_succ_view_is_read_only(seq_nba):
     pa = build_product(to_wts(random_map(3, 4, 0.0), Belief(), seq_nba.universe), seq_nba)
     u = next(s for s, row in enumerate(pa.out) if row)
     v = next(iter(pa.out[u]))
-    before = pa.out[u][v]
-    with pytest.raises(TypeError):
-        pa.succ[u][v] = (0, 1)
-    with pytest.raises(TypeError):
-        del pa.succ[u][v]
+    out_before = dict(pa.out[u])
+    pred_before = dict(pa.pred[v])
+    snapshot = pa.succ[u]
     with pytest.raises(TypeError):
         pa.succ[u] = {}
-    assert pa.out[u][v] == before
+    snapshot[v] = (0, 1)
+    del snapshot[v]
+    snapshot[-1] = (0, 1)
+    assert pa.out[u] == out_before
+    assert pa.pred[v] == pred_before
+    assert pa.succ[u] == {w: unpack_weight(x) for w, x in out_before.items()}

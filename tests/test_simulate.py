@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
-from conftest import ASSETS, dijkstra_oracle, replay_iterative
-from tlreplan.simulate import CSV_HEADER, simulate, write_trace_csv, write_trace_json
-from tlreplan.world import load_scenario, random_map
+from conftest import ASSETS, BOXED_START, dijkstra_oracle, replay_iterative
+from tlreplan.planner import NoAcceptingRun
+from tlreplan.simulate import (CSV_HEADER, build_world, make_planner, simulate, write_trace_csv,
+                               write_trace_json)
+from tlreplan.world import load_scenario, random_map, scenario_from_dict
 
 INF = math.inf
 
@@ -91,6 +93,22 @@ def test_blocked_c_asset_plain_vs_relaxed(seq_nba):
     assert relaxed.traversed_violation > 0
 
 
+@pytest.mark.parametrize("mode", ["plain", "relaxed"])
+@pytest.mark.parametrize("algo", ["ltl-dstar", "iterative"])
+def test_infeasible_start_reports_its_work_and_no_total(seq_nba, mode, algo):
+    scn = scenario_from_dict(BOXED_START)
+    rep = simulate(scn, seq_nba, mode=mode, algo=algo)
+    assert rep.infeasible and not rep.completed
+    assert (rep.steps, rep.events) == (0, [])
+    planner = make_planner(algo, build_world(scn, seq_nba, mode)[1], 10)
+    with pytest.raises(NoAcceptingRun):
+        planner.plan_initial()
+    assert rep.initial_expansions == planner.last_expansions > 0
+    assert (rep.initial_violation, rep.initial_travel) == (INF, INF)
+    data = rep.to_json_dict()
+    assert (data["initial_violation"], data["initial_travel"]) == (None, None)
+
+
 def test_trace_files_round_trip(tmp_path, seq_nba):
     scn = random_map(4, 10, 0.35, nba=seq_nba)
     rep = simulate(scn, seq_nba, loops=1)
@@ -103,7 +121,7 @@ def test_trace_files_round_trip(tmp_path, seq_nba):
     assert rows[0] == CSV_HEADER
     assert len(rows) == len(rep.events) + 1
     for row, ev in zip(rows[1:], rep.events):
-        assert int(row[0]) == ev.index
+        assert int(row[0]) == ev.event
         assert row[1] == ev.phase
         assert float(row[5]) == ev.total_violation
         assert float(row[6]) == ev.total_travel
@@ -117,9 +135,9 @@ def test_identical_walks_on_unique_route_map(seq_nba):
     scn = load_scenario(ASSETS / "ring_unique.json")
     rep_a = simulate(scn, seq_nba, algo="ltl-dstar", loops=1)
     rep_b = simulate(scn, seq_nba, algo="iterative", loops=1)
-    rows_a = [(e.index, e.phase, e.mod_size, e.total_violation, e.total_travel)
+    rows_a = [(e.event, e.phase, e.mod_size, e.total_violation, e.total_travel)
               for e in rep_a.events]
-    rows_b = [(e.index, e.phase, e.mod_size, e.total_violation, e.total_travel)
+    rows_b = [(e.event, e.phase, e.mod_size, e.total_violation, e.total_travel)
               for e in rep_b.events]
     assert rows_a == rows_b
     assert rep_a.traversed_travel == rep_b.traversed_travel

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,7 +8,8 @@ from tlreplan.baselines import solve_fresh
 from tlreplan.labels import APUniverse
 from tlreplan.planner import NoAcceptingRun
 from tlreplan.product import build_product
-from tlreplan.weights import TRAVEL_CAP, WeightRangeError
+from tlreplan import world
+from tlreplan.weights import STATE_CAP, TRAVEL_CAP, WeightRangeError
 from tlreplan.world import (Belief, ChangeEvent, GridScenario, _ground_truth_feasible,
                             initial_belief, load_scenario, random_map, scenario_from_dict,
                             sense, to_wts)
@@ -146,6 +148,29 @@ def test_scenario_json_round_trip(tmp_path):
     data = scenario_to_dict(scn)
     back = scenario_from_dict(data)
     assert back == scn
+
+
+def _visited(*args):
+    raise AssertionError("visited a cell")
+
+
+def test_grid_at_the_product_cap_fails_before_any_cell_is_visited(monkeypatch):
+    monkeypatch.setattr(GridScenario, "cells", _visited)
+    side = 1 << 10
+    assert side * side == STATE_CAP
+    scn = _empty(side)
+    with pytest.raises(WeightRangeError, match="cap"):
+        to_wts(scn, Belief(), U)
+    with pytest.raises(AssertionError, match="visited"):  # one cell below the cap
+        to_wts(scn, Belief(known_obstacles={(0, 0)}), U)
+
+
+def test_random_map_at_the_product_cap_fails_before_any_cell_is_rolled(monkeypatch):
+    monkeypatch.setattr(world, "random", SimpleNamespace(Random=_visited))
+    with pytest.raises(WeightRangeError, match="cap"):
+        random_map(0, 1 << 10, 0.4)
+    with pytest.raises(AssertionError, match="visited"):
+        random_map(0, (1 << 10) - 1, 0.4)
 
 
 def test_random_map_deterministic():
