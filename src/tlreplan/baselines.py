@@ -179,12 +179,12 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
     return Run(prefix, loop, acc, unpack(pk), unpack(lk), unpack(pk + beta * lk)), pops
 
 
-def _descend(pa, values, start, closing, limit_slack: int = 10):
+def _descend(pa, values, start, closing):
     """Greedy walk along exact packed cost-to-goal values; stops where closing wins."""
     path = [start]
     s = start
     out = pa.out
-    limit = 2 * pa.n_states + limit_slack
+    limit = 2 * pa.n_states + 10
     while True:
         close = closing.get(s)
         best = INF
@@ -207,8 +207,9 @@ def _descend(pa, values, start, closing, limit_slack: int = 10):
             raise RuntimeError("path reconstruction did not terminate")
 
 
-class _FreshSolveReplanner(RunFollower):
-    """What both baselines share: fresh solves whose pops are counted, failed or not."""
+class IterativeReplanner(RunFollower):
+    """Re-solves everything from scratch with Dijkstra on every change set,
+    counting every solve's pops, failed or not."""
 
     def __init__(self, pa, beta: int = 10):
         super().__init__()
@@ -217,15 +218,18 @@ class _FreshSolveReplanner(RunFollower):
         self.beta = beta
         self.last_expansions = 0
 
-    def _start_state(self) -> int:
-        ini = self.pa.initial
-        return ini[0] if len(ini) == 1 else -1
-
     def plan_initial(self) -> Run:
         self.last_expansions = 0
-        return self._solve(list(self.pa.initial))
+        return self._solve()
 
-    def _solve(self, sources) -> Run:
+    def replan(self, mod) -> Run:
+        self.pa.apply_changes(mod)
+        self.last_expansions = 0
+        return self._solve()
+
+    def _solve(self) -> Run:
+        """Fresh solve from the current state, or from the initial states without a run."""
+        sources = list(self.pa.initial) if self.run is None else [self.current_state]
         try:
             run, pops = solve_fresh(self.pa, sources, self.beta)
         except NoAcceptingRun as exc:
@@ -236,22 +240,13 @@ class _FreshSolveReplanner(RunFollower):
         return run
 
 
-class IterativeReplanner(_FreshSolveReplanner):
-    """Re-solves everything from scratch with Dijkstra on every change set."""
-
-    def replan(self, mod) -> Run:
-        self.pa.apply_changes(mod)
-        self.last_expansions = 0
-        return self._solve(list(self.pa.initial) if self.run is None else [self.current_state])
-
-
-class LocalRevisionReplanner(_FreshSolveReplanner):
+class LocalRevisionReplanner(IterativeReplanner):
     """Detours back onto the previous run instead of re-optimizing globally.
 
     On a change set, finds the cheapest path from the current state that
     rejoins the surviving part of the active run at a later index of the
     same phase, keeping the original accepting state and loop. Falls back
-    to a full fresh solve when no valid rejoin exists.
+    to a full fresh solve when no valid rejoin exists, or no run does.
     """
 
     def __init__(self, pa, beta: int = 10):
@@ -261,23 +256,21 @@ class LocalRevisionReplanner(_FreshSolveReplanner):
     def replan(self, mod) -> Run:
         self.pa.apply_changes(mod)
         self.last_expansions = 0
-        run = self._try_revision()
+        run = None if self.run is None else self._try_revision()
         if run is None:
             self.fallbacks += 1
-            return self._solve([self.current_state])
+            return self._solve()
         self._set_run(run)
         return run
 
     def _try_revision(self) -> Run | None:
         cur = self.current_state
         old = self.run
-        if self.phase == SUFFIX:
-            loop_pos = self._pos - self._suffix_start
-            candidates = list(range(loop_pos + 1, len(old.suffix)))
-            segment = old.suffix
+        if self.phase == SUFFIX:  # offset: the current position in the segment
+            offset, segment = self._pos - self._suffix_start, old.suffix
         else:
-            candidates = list(range(self._pos + 1, len(old.prefix)))
-            segment = old.prefix
+            offset, segment = self._pos, old.prefix
+        candidates = range(offset + 1, len(segment))
         if not candidates:
             return None
         out = self.pa.out
@@ -300,13 +293,9 @@ class LocalRevisionReplanner(_FreshSolveReplanner):
         if best_idx is None:
             return None
         detour = _walk_parents(parents, segment[best_idx], {cur})
-        if self.phase == SUFFIX:
-            loop_pos = self._pos - self._suffix_start
-            new_suffix = old.suffix[:loop_pos] + detour + old.suffix[best_idx + 1:]
-            prefix = detour + old.suffix[best_idx + 1:]
-        else:
-            new_suffix = list(old.suffix)
-            prefix = detour + old.prefix[best_idx + 1:]
+        prefix = detour + segment[best_idx + 1:]
+        # a detour inside the loop becomes part of it; one on the prefix leaves it
+        new_suffix = old.suffix[:offset] + prefix if segment is old.suffix else list(old.suffix)
         prefix_cost = path_weight(out, prefix)
         suffix_cost = path_weight(out, new_suffix)
         total = prefix_cost + self.beta * suffix_cost

@@ -20,7 +20,7 @@ from .planner import NoAcceptingRun, check_beta
 from .product import build_product, build_relaxed_product
 from .simulate import (ALGORITHMS, MODES, TraceReport, simulate, write_trace_csv,
                        write_trace_json)
-from .world import load_scenario, random_map, scenario_from_dict
+from .world import Belief, check_cells, load_scenario, random_map, scenario_from_dict, to_wts
 from .wts import load_wts
 
 EXIT_OK = 0
@@ -62,8 +62,9 @@ def cmd_build(args) -> int:
         if "states" in data:
             wts = load_wts(args.scenario, nba.universe)
         else:
-            from .world import Belief, to_wts
-            wts = to_wts(scenario_from_dict(data), Belief(), nba.universe)
+            scenario = scenario_from_dict(data)
+            check_cells(scenario.width * scenario.height, nba.n_states)
+            wts = to_wts(scenario, Belief(), nba.universe)
         pa = build_product(wts, nba)
     except (ValueError, KeyError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
@@ -104,11 +105,11 @@ def cmd_simulate(args) -> int:
     try:
         nba = _load_nba(args.nba)
         scenario = _scenario_for(args)
-    except (HoaParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+        report = simulate(scenario, nba, beta=args.beta, mode=args.mode,
+                          algo=args.algo, loops=args.loops)
+    except (ValueError, KeyError, OSError) as exc:  # parse, JSON and range errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    report = simulate(scenario, nba, beta=args.beta, mode=args.mode,
-                      algo=args.algo, loops=args.loops)
     if args.trace_out:
         write_trace_csv(report, args.trace_out + ".csv")
         write_trace_json(report, args.trace_out + ".json")

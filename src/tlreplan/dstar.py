@@ -34,7 +34,7 @@ and goal edges keep full rescans (`update_vertex`). An expansion reads
 predecessors straight from the product's `pred` rows, and asks the graph
 only for a state that carries overlay edges. The start key is recomputed
 only when g or rhs of the start changes. Every other key is built inline
-from the g and rhs just read, and the zero heuristic is never called.
+from the g and rhs just read; a `None` heuristic is zero, with no call.
 
 `compute_shortest_path(budget)` stops before its budget's next expansion
 and returns False. The popped entry goes back on the queue, so the search
@@ -96,9 +96,6 @@ class OverlayGraph:
             return list(base) + list(ex.items())
         return ex.items()
 
-    def has_node(self, u: int) -> bool:
-        return 0 <= u < self._n + 2
-
     def size(self) -> int:
         return self._n + 2
 
@@ -106,22 +103,21 @@ class OverlayGraph:
 class SearchInstance:
     """One incremental search: fixed goal, movable start.
 
-    The graph gives `size()` node ids, `succ_items` and `pred_items`, and
-    two head-indexed maps the expansion reads directly: `pred`, a list of
-    {tail: weight} rows, and `extra_pred`, the heads whose predecessors
-    `pred` does not hold or holds only in part.
+    The graph gives `size()` node ids from 0, `succ_items` and `pred_items`,
+    and two head-indexed maps the expansion reads directly: `pred`, a list
+    of {tail: weight} rows, and `extra_pred`, the heads whose predecessors
+    `pred` does not hold or holds only in part. The heuristic h(start, s)
+    is a function, or None for zero.
     """
 
     def __init__(self, graph, start: int, goal: int, heuristic=None, log_pops: bool = False,
                  counter: list | None = None):
-        if not graph.has_node(start):
-            raise ValueError(f"start {start} not in graph")
-        if not graph.has_node(goal):
-            raise ValueError(f"goal {goal} not in graph")
+        if not (0 <= start < graph.size() and 0 <= goal < graph.size()):
+            raise ValueError(f"start {start} or goal {goal} not in graph")
         self.graph = graph
         self.start = start
         self.goal = goal
-        self.h = heuristic if heuristic is not None else _zero_h
+        self.h = heuristic
         self.expansions = 0
         self.counter = counter  # shared expansion tally across instances
         self.pop_log = [] if log_pops else None
@@ -144,7 +140,7 @@ class SearchInstance:
         g = self.g[s]
         rhs = self.rhs[s]
         m = g if g <= rhs else rhs
-        return (m + self.h(self.start, s) + self.km, m)
+        return (m + (self.km if self.h is None else self.h(self.start, s) + self.km), m)
 
     # -- core updates ----------------------------------------------------------
 
@@ -165,7 +161,7 @@ class SearchInstance:
         if gu != best:
             m = gu if gu <= best else best
             h = self.h
-            shift = self.km if h is _zero_h else h(self.start, u) + self.km
+            shift = self.km if h is None else h(self.start, u) + self.km
             heappush(self.U, (m + shift, m, u))
 
     def compute_shortest_path(self, budget: int | None = None) -> bool:
@@ -188,7 +184,7 @@ class SearchInstance:
         start = self.start
         goal = self.goal
         km = self.km
-        h = None if self.h is _zero_h else self.h  # keys as in calculate_key, inline
+        h = self.h  # keys as in calculate_key, inline
         finished = True
         gs = rs = start_top = None
         while U:
@@ -259,10 +255,10 @@ class SearchInstance:
         A search whose key drift km would reach KM_CAP starts over instead,
         so that keys stay within the packed weights' exact range.
         """
-        if not self.graph.has_node(new_start):
+        if not 0 <= new_start < self.graph.size():
             raise ValueError(f"start {new_start} not in graph")
         if new_start != self.start:
-            self.km += self.h(self.start, new_start)
+            self.km += 0 if self.h is None else self.h(self.start, new_start)
             self.start = new_start
             if self.km >= KM_CAP:
                 self._reset()
@@ -310,7 +306,3 @@ class SearchInstance:
             if len(path) > limit:
                 raise RuntimeError("path extraction did not terminate")
         return path
-
-
-def _zero_h(a: int, b: int) -> int:
-    return 0

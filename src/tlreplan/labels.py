@@ -28,10 +28,6 @@ class APUniverse:
         if len(self.names) > 64:
             raise APUniverseError(f"at most 64 propositions supported, got {len(self.names)}")
 
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)

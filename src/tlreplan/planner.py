@@ -11,10 +11,11 @@ The planner keeps one record per accepting state, but builds a search only
 for a state that some finite edge enters. Any other record has no search
 and the cost INF, which is exact: no loop can close through the state, and
 its search would expand its goal once and find INF. Its goal edge would
-carry INF and queue nothing, so the main search gets none. A change set
-that gives such a state a finite incoming edge (an `add`, or a reweight of
-a deleted edge) marks its record stale, and the repair builds its search
-from scratch; such a set can lower costs, so every stale record is
+carry INF and queue nothing, so the main search gets none. A record is
+built stale if a finite edge enters its state, and turns stale when a
+change set gives it one (an `add`, or a reweight of a deleted edge).
+`repair_loop`, the one path that solves a loop search, builds a missing
+search from scratch. Such a set can lower costs, so every stale record is
 repaired at once, and a finite new cost rebuilds the main search.
 
 On the prefix or inside the loop, the problem from the current state is
@@ -40,9 +41,9 @@ repaired and, if its cost moved, the main search is built afresh.
 
 A loop repair next to its goal can cost several fresh solves, so each
 repair may expand at most a share of the record's last from-scratch
-solve. Past that budget the half-repaired search is dropped and the
-record is solved from scratch in place. Both end with the exact loop cost
-and the search `plan_initial` would build, so runs are unchanged.
+solve. Past that budget the half-repaired search is dropped and solved
+from scratch, as a missing one is. Both end with the exact loop cost and
+the search `plan_initial` would build, so runs are unchanged.
 
 On grid workspaces every search is focused by a distance in the free
 product (`free_product`): the product over the belief WTS's cells, walls
@@ -132,13 +133,12 @@ class Run:
 
 @dataclass
 class SuffixRecord:
-    k: int
     acc: int
     instance: SearchInstance | None = None  # None until a finite edge enters acc
     cost: int | float = INF  # packed loop cost, INF without a loop
     fresh: int = 0  # expansions of the last from-scratch solve; sets the repair budget
     loop: list[int] | None = field(default=None)
-    stale: bool = False  # changes queued, search not run; cost is a lower bound
+    stale: bool = False  # to be solved: changes queued, or a search not yet built
     pending: set[int] = field(default_factory=set)  # changed-edge tails, rescanned at repair
     force: bool = False  # some pending edge was created: rescan unreached tails too
     h: Callable[[int, int], int] | None = None  # kept for re-solves; None: unfocused
@@ -290,18 +290,17 @@ class RunFollower:
             return PREFIX
         return SUFFIX if self._pos >= self._suffix_start else PREFIX
 
-    def peek_next(self) -> int:
+    def _next(self) -> int:
+        """Position after the current one: the loop wraps to its second state."""
         nxt = self._pos + 1
-        if nxt >= len(self._seq):
-            nxt = self._suffix_start + 1
-        return self._seq[nxt]
+        return nxt if nxt < len(self._seq) else self._suffix_start + 1
+
+    def peek_next(self) -> int:
+        return self._seq[self._next()]
 
     def advance(self) -> bool:
         """Move one step along the run; True when a loop traversal completes."""
-        nxt = self._pos + 1
-        if nxt >= len(self._seq):
-            nxt = self._suffix_start + 1
-        self._pos = nxt
+        self._pos = nxt = self._next()
         return nxt == len(self._seq) - 1
 
 
@@ -328,76 +327,66 @@ class LTLDStarPlanner(RunFollower):
 
     # -- suffix searches ---------------------------------------------------------
 
-    def suffix_initialize(self, k: int) -> SuffixRecord:
-        """The record of accepting state index k, its loop solved if a finite edge enters it."""
-        acc = self.pa.accepting[k]
-        rec = SuffixRecord(k, acc)
-        if any(w != INF for w in self.pa.pred[acc].values()):
-            self._solve_loop(rec)
-            rec.cost = rec.instance.cost_from(acc)
-        return rec
-
-    def _solve_loop(self, rec: SuffixRecord):
-        """Give `rec` a loop search over the present product, solved from scratch."""
-        pa = self.pa
-        if rec.h is None and self._free is not None:
-            rec.h = self._free.heuristic(rec.acc)
-        graph = OverlayGraph(pa)
-        for p, w in pa.pred[rec.acc].items():
-            graph.set_extra(p, self.goal, w)
-        inst = SearchInstance(graph, start=rec.acc, goal=self.goal, heuristic=rec.h,
-                              counter=self._counter)
-        inst.compute_shortest_path()
-        rec.instance, rec.fresh, rec.loop = inst, inst.expansions, None
-
-    def mark_stale(self, rec: SuffixRecord, mirrors, sources, force: bool = False):
+    def mark_stale(self, rec: SuffixRecord, sources, force: bool = False):
         """Queue a change set in a loop search without searching.
 
-        `mirrors` are (u, packed weight) pairs of changed edges into the
-        accepting state, rewritten onto its imaginary goal; `sources` are the
-        tails of every changed edge. They join the record's pending sources, which
+        `sources` are the tails of every changed edge. Each that has an edge
+        into the accepting state gets that edge's present weight copied
+        onto the imaginary goal. They join the record's pending sources, which
         `repair_loop` rescans once: until then g does not move and a rescan
         reads the current weights, so one rescan equals one per change set.
         """
         graph = rec.instance.graph
-        for u, w in mirrors:
-            graph.set_extra(u, self.goal, w)
+        into = self.pa.pred[rec.acc]
+        for u in sources & into.keys():
+            graph.set_extra(u, self.goal, into[u])
         rec.pending |= sources
         rec.force |= force
         rec.stale = True
-        rec.loop = None
 
     def repair_loop(self, rec: SuffixRecord) -> bool:
         """Run a stale loop search to completion; True if its cost moved.
 
-        A repair that passes its budget is dropped, and the record is
-        solved from scratch in place, as is a record without a search.
+        A record without a search, and a repair that passes its budget, get
+        a search over the present product solved from scratch.
         """
         if not rec.stale:
             return False
-        if rec.instance is None:
-            self._solve_loop(rec)
-        else:
-            rec.instance.note_changed_edges(rec.pending, force=rec.force)
+        inst = rec.instance
+        if inst is not None:
+            inst.note_changed_edges(rec.pending, force=rec.force)
             rec.pending = set()
             rec.force = False
-            if not rec.instance.compute_shortest_path(budget=max(1, rec.fresh // REPAIR_SHARE)):
-                self._solve_loop(rec)
+        if inst is None or not inst.compute_shortest_path(
+                budget=max(1, rec.fresh // REPAIR_SHARE)):
+            if rec.h is None and self._free is not None:
+                rec.h = self._free.heuristic(rec.acc)
+            graph = OverlayGraph(self.pa)
+            for p, w in self.pa.pred[rec.acc].items():
+                graph.set_extra(p, self.goal, w)
+            inst = SearchInstance(graph, start=rec.acc, goal=self.goal, heuristic=rec.h,
+                                  counter=self._counter)
+            inst.compute_shortest_path()
+            rec.instance, rec.fresh = inst, inst.expansions
         rec.stale = False
+        rec.loop = None
         old = rec.cost
-        rec.cost = rec.instance.cost_from(rec.acc)
+        rec.cost = inst.cost_from(rec.acc)
         return rec.cost != old
 
     # -- planning ------------------------------------------------------------------
 
     def plan_initial(self) -> Run:
         pa = self.pa
-        before = self._expansion_total()
-        self.records = [self.suffix_initialize(k) for k in range(len(pa.accepting))]
+        before = self._counter[0]
+        self.records = [SuffixRecord(acc, stale=any(w != INF for w in pa.pred[acc].values()))
+                        for acc in pa.accepting]
         self._rec_by_acc = {rec.acc: rec for rec in self.records}
+        for rec in self.records:
+            self.repair_loop(rec)
         self._build_main(self._start_state())
         path = self._solve_main()
-        self.last_expansions = self._expansion_total() - before
+        self.last_expansions = self._counter[0] - before
         return self._extract_run(path)
 
     def replan(self, mod) -> Run:
@@ -420,26 +409,24 @@ class LTLDStarPlanner(RunFollower):
                 raise EdgeOutsideGridError(
                     f"new edge {off[0].u}->{off[0].v} is no free-product move; "
                     f"the product was left unchanged")
-        before = self._expansion_total()
+        before = self._counter[0]
         lowers = any(ch.v not in out[ch.u] or pack(ch.weight) < out[ch.u][ch.v] for ch in mod)
         created = self.pa.apply_changes(mod)
         sources = {ch.u for ch in mod}
-        mirrors_by_acc: dict[int, list] = {}
-        for ch in mod:
-            mirrors_by_acc.setdefault(ch.v, []).append((ch.u, out[ch.u][ch.v]))
+        entered = {ch.v for ch in mod if out[ch.u][ch.v] != INF}
         skip_ok = not created  # brand-new edges invalidate the untouched shortcut
         for rec in self.records:
-            mirrors = mirrors_by_acc.get(rec.acc)
             if rec.instance is None:
                 # no loop closed until a finite edge entered; the repair builds the search
-                if mirrors is not None and any(w != INF for _, w in mirrors):
+                if rec.acc in entered:
                     rec.stale = True
                 continue
             # a loop search that never reached any rewritten source cannot be
-            # affected; its cost is unchanged by construction
-            if mirrors is None and skip_ok and rec.instance.reached.isdisjoint(sources):
+            # affected; it reached every tail into its state when it first
+            # expanded its goal, so an edge into the state is never skipped
+            if skip_ok and rec.instance.reached.isdisjoint(sources):
                 continue
-            self.mark_stale(rec, mirrors or (), sources, force=not skip_ok)
+            self.mark_stale(rec, sources, force=not skip_ok)
         if lowers:
             # stale costs stop being lower bounds once a weight may drop
             repair = self.records
@@ -454,7 +441,7 @@ class LTLDStarPlanner(RunFollower):
             self.main.move_start(self.current_state)
             self.main.note_changed_edges(sources, force=not skip_ok)
         path = self._solve_main()
-        self.last_expansions = self._expansion_total() - before
+        self.last_expansions = self._counter[0] - before
         return self._extract_run(path)
 
     def _solve_main(self) -> list[int] | None:
@@ -497,7 +484,3 @@ class LTLDStarPlanner(RunFollower):
                   unpack(prefix_cost + self.beta * rec.cost))
         self._set_run(run)
         return run
-
-    def _expansion_total(self) -> int:
-        return self._counter[0]
-

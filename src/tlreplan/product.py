@@ -97,11 +97,6 @@ class ProductAutomaton:
             pi * nq + qf for pi in range(wts.n_states) for qf in sorted(nba.accepting)
         ]
 
-    # -- state indexing -----------------------------------------------------
-
-    def sid(self, pi: int, q: int) -> int:
-        return pi * self.nq + q
-
     @property
     def n_edges(self) -> int:
         return sum(len(row) for row in self.out)

@@ -25,7 +25,7 @@ from .baselines import IterativeReplanner, LocalRevisionReplanner
 from .planner import LTLDStarPlanner, NoAcceptingRun
 from .product import PLAIN, RELAXED, build_product, build_relaxed_product
 from .weights import INF, INF_W, unpack
-from .world import GridScenario, initial_belief, sense, to_wts
+from .world import GridScenario, check_cells, initial_belief, sense, to_wts
 
 ALGO_LTL_DSTAR = "ltl-dstar"
 ALGO_ITERATIVE = "iterative"
@@ -115,8 +115,9 @@ def write_trace_csv(report: TraceReport, path):
 
 
 def build_world(scenario: GridScenario, nba, mode: str):
-    """Belief at time zero plus the matching product automaton."""
+    """Belief at time zero plus the matching product, size-checked before any cell is visited."""
     belief = initial_belief(scenario)
+    check_cells(scenario.width * scenario.height - len(belief.known_obstacles), nba.n_states)
     wts = to_wts(scenario, belief, nba.universe)
     belief.attach(wts)
     builder = build_product if mode == PLAIN else build_relaxed_product

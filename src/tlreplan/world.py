@@ -33,6 +33,8 @@ Cell = tuple[int, int]
 DELETE = "delete"
 REWEIGHT = "reweight"
 
+MAP_ATTEMPTS = 200  # derived seeds `random_map` tries before it gives up
+
 
 @dataclass
 class ChangeEvent:
@@ -123,7 +125,7 @@ def to_wts(scenario: GridScenario, belief: Belief, universe: APUniverse) -> WTS:
     automaton owns the vocabulary, extra regions are inert. A grid of
     `STATE_CAP` free cells or more is rejected before any cell is visited.
     """
-    _check_cells(scenario.width * scenario.height - len(belief.known_obstacles))
+    check_cells(scenario.width * scenario.height - len(belief.known_obstacles), 1)
     label_bits = {}
     names = set(universe.names)
     for name, cells in scenario.regions.items():
@@ -152,10 +154,15 @@ def to_wts(scenario: GridScenario, belief: Belief, universe: APUniverse) -> WTS:
     return WTS(universe, len(coords), labels, init, succ, coords=coords)
 
 
-def _check_cells(n: int) -> None:
-    """Reject `n` grid cells, one WTS state each: every product over them reaches the cap."""
-    if n >= STATE_CAP:
-        raise WeightRangeError(f"{n} grid cells reach the product cap of {STATE_CAP} states")
+def check_cells(n: int, nq: int) -> None:
+    """Reject `n` grid cells whose product with an `nq`-state automaton reaches the cap.
+
+    Each cell is one WTS state, so the product holds `n * nq` states. The
+    check visits no cell: callers make it before they walk the grid.
+    """
+    if n * nq >= STATE_CAP:
+        raise WeightRangeError(f"{n} grid cells times {nq} automaton states reach the "
+                               f"product cap of {STATE_CAP} states")
 
 
 def initial_belief(scenario: GridScenario) -> Belief:
@@ -225,22 +232,23 @@ def load_scenario(path) -> GridScenario:
 # Random benchmark maps
 
 
-def random_map(seed: int, n: int, density: float, nba=None, retries: int = 200,
+def random_map(seed: int, n: int, density: float, nba=None,
                allow_infeasible: bool = False, bump_density: float = 0.0) -> GridScenario:
     """Random n-by-n map: one region cell per quadrant, scattered hidden objects.
 
     Regeneration repeats with derived seeds until the ground truth admits a
     violation-free run (checked against `nba` when given, otherwise by free
-    connectivity of the region cells). A map of `STATE_CAP` cells or more
-    is rejected before any cell is rolled: a mission's first belief holds
-    every cell but the few its start sees.
+    connectivity of the region cells). A map whose product reaches
+    `STATE_CAP` states, with `nba` when given and otherwise with any
+    automaton, is rejected before any cell is rolled: a mission's first
+    belief holds every cell but the few its start sees.
     """
     if not 0 <= density < 1:
         raise ValueError(f"density must be in [0, 1), got {density}")
     if n < 4:
         raise ValueError(f"map size must be at least 4, got {n}")
-    _check_cells(n * n)
-    for attempt in range(retries):
+    check_cells(n * n, 1 if nba is None else nba.n_states)
+    for attempt in range(MAP_ATTEMPTS):
         rng = random.Random(seed * 1000003 + attempt)
         half = n // 2
         quads = {
@@ -273,7 +281,7 @@ def random_map(seed: int, n: int, density: float, nba=None, retries: int = 200,
         )
         if allow_infeasible or _ground_truth_feasible(scenario, nba):
             return scenario
-    raise RuntimeError(f"no feasible map found for seed {seed} after {retries} attempts")
+    raise RuntimeError(f"no feasible map found for seed {seed} after {MAP_ATTEMPTS} attempts")
 
 
 def _ground_truth_feasible(scenario: GridScenario, nba) -> bool:

@@ -15,7 +15,7 @@ that downstream incremental searches see deletions as cost changes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .labels import APUniverse, APUniverseError
 from .weights import INF, check_travel
@@ -30,7 +30,6 @@ class WTS:
     succ: list[dict[int, float]]           # state -> {succ: int travel, or INF}
     coords: list[tuple[int, int]] | None = None   # grid cell per state, if any
     names: list[str] | None = None                # external ids, if any
-    _n_edges: int = field(default=0, repr=False)
 
     def __post_init__(self):
         if len(self.labels) != self.n_states or len(self.succ) != self.n_states:
@@ -43,11 +42,10 @@ class WTS:
                     raise ValueError(f"edge {i}->{j} out of range")
                 if d != INF:
                     check_travel(d, f"edge {i}->{j}")
-        self._n_edges = sum(len(out) for out in self.succ)
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
+        return sum(len(out) for out in self.succ)
 
     def edges(self):
         for i, out in enumerate(self.succ):
@@ -57,12 +55,7 @@ class WTS:
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.succ[i]
 
-    def weight(self, i: int, j: int) -> float:
-        return self.succ[i][j]
-
     def set_weight(self, i: int, j: int, d: float):
-        if j not in self.succ[i]:
-            self._n_edges += 1
         self.succ[i][j] = d
 
 

@@ -65,9 +65,6 @@ class DictGraph:
     def pred_items(self, u: int):
         return self.pred[u].items()
 
-    def has_node(self, u: int) -> bool:
-        return 0 <= u < self.n
-
     def size(self) -> int:
         return self.n
 
@@ -214,7 +211,7 @@ def chi_bits(guard: str, n_props: int) -> tuple[int, ...]:
 
 def chi(guard: str, universe: APUniverse) -> set:
     """Labels satisfying `guard`; empty set if none."""
-    return {Label(universe, b) for b in chi_bits(guard, universe.size)}
+    return {Label(universe, b) for b in chi_bits(guard, len(universe.names))}
 
 
 def cubes_enable(cubes, bits: int) -> bool:
@@ -229,7 +226,7 @@ def cubes_enable(cubes, bits: int) -> bool:
 def enabled_bits(nba, qm: int, qn: int) -> tuple[int, ...]:
     """All labels whose bits the library's cubes for q_m -> q_n enable."""
     cubes = nba.pair_cubes(qm, qn)
-    return tuple(bits for bits in range(1 << nba.universe.size) if cubes_enable(cubes, bits))
+    return tuple(bits for bits in range(1 << len(nba.universe.names)) if cubes_enable(cubes, bits))
 
 
 def hoa_guards(text: str) -> dict:
@@ -306,6 +303,11 @@ def dijkstra_oracle(pa, start, beta: int) -> OracleResult:
             best_total = total
             best_index = k
     return OracleResult(prefix, loops, best_index, unpack_weight(best_total), pops)
+
+
+def sid(pa: ProductAutomaton, pi: int, q: int) -> int:
+    """Product state of workspace state `pi` and automaton state `q`."""
+    return pi * pa.nq + q
 
 
 def unpack(pa: ProductAutomaton, s: int) -> tuple[int, int]:
@@ -437,9 +439,9 @@ class Label:
     bits: int
 
     def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.universe.size:
+        if self.bits < 0 or self.bits >> len(self.universe.names):
             raise APUniverseError(
-                f"label bits {self.bits:#x} outside universe of size {self.universe.size}"
+                f"label bits {self.bits:#x} outside universe of size {len(self.universe.names)}"
             )
 
 
@@ -453,14 +455,15 @@ def label(universe: APUniverse, names=()) -> Label:
 
 def xi(ap: int, l: Label) -> int:
     """1 if proposition index `ap` is in the label, else 0."""
-    if not 0 <= ap < l.universe.size:
-        raise APUniverseError(f"proposition index {ap} outside universe of size {l.universe.size}")
+    if not 0 <= ap < len(l.universe.names):
+        raise APUniverseError(
+            f"proposition index {ap} outside universe of size {len(l.universe.names)}")
     return l.bits >> ap & 1
 
 
 def zeta(l: Label) -> list[int]:
     """Binary membership vector of the label, in universe order."""
-    return [l.bits >> i & 1 for i in range(l.universe.size)]
+    return [l.bits >> i & 1 for i in range(len(l.universe.names))]
 
 
 def rho(l: Label, l2: Label) -> int:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import (bellman_ford, dijkstra_oracle, random_weighted_graph,
+from conftest import (bellman_ford, dijkstra_oracle, random_weighted_graph, sid,
                       solve_fresh_reference, visit_in_order_hoa)
 from tlreplan import baselines
 from tlreplan.baselines import (IterativeReplanner, LocalRevisionReplanner, lex_dijkstra,
@@ -116,13 +116,13 @@ def _pa(seq_nba, seed=7, n=10, density=0.3):
 class TestOracle:
     def test_unreachable_accepting_set_infinite(self, seq_nba):
         pa, _, _ = _pa(seq_nba)
-        result = dijkstra_oracle(pa, [pa.sid(0, 0)], 10)
+        result = dijkstra_oracle(pa, [sid(pa, 0, 0)], 10)
         assert result.best_index is not None
         assert result.best_total[1] < INF
         # deleting every edge into the accepting states breaks all loops
         pa.apply_changes([PAEdgeChange(p, acc, (INF, INF))
                           for acc in pa.accepting for p in pa.pred[acc]])
-        result2 = dijkstra_oracle(pa, [pa.sid(0, 0)], 10)
+        result2 = dijkstra_oracle(pa, [sid(pa, 0, 0)], 10)
         assert result2.best_index is None
         assert result2.best_total == (INF, INF)
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import ASSETS, BOXED_START
 from tlreplan.cli import BENCH_HEADER, SUMMARY_HEADER, main
 from tlreplan.simulate import CSV_HEADER
+from tlreplan.world import GridScenario
 
 SEQ = str(ASSETS / "sequence_abcd.hoa")
 SEQ32 = str(ASSETS / "sequence_abcd_32.hoa")
@@ -145,6 +146,31 @@ def test_simulate_bump_cheaper_than_move_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "move_cost=10" in err and "bump_cost=2" in err
+
+
+def _without_width():
+    data = json.loads((ASSETS / "bench_map_a.json").read_text())
+    del data["width"]
+    return data
+
+
+@pytest.mark.parametrize("command", ["build", "simulate"])
+@pytest.mark.parametrize("data, named", [
+    ({"width": 1100, "height": 1100, "start": [0, 0]}, "cap"),  # over the cell cap
+    ({"width": 512, "height": 512, "start": [0, 0]}, "cap"),  # cells x automaton states over it
+    (_without_width(), "width"),
+], ids=["cells", "product", "no-width"])
+def test_bad_scenario_is_input_error_before_any_cell(command, data, named, tmp_path, capsys,
+                                                     monkeypatch):
+    def visited(*args):
+        raise AssertionError("visited a cell")
+
+    monkeypatch.setattr(GridScenario, "cells", visited)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main([command, SEQ, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_build_unknown_builtin_nba_is_input_error(capsys):

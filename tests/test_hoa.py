@@ -250,9 +250,9 @@ def test_guard_at_the_bound_and_wide_disjunctions_compile():
 def test_shipped_automata_agree_with_text_oracle(path):
     text = path.read_text(encoding="utf-8")
     nba = parse_nba(text)
-    assert nba.universe.size <= 5
+    assert len(nba.universe.names) <= 5
     guards = hoa_guards(text)
     assert sorted(guards) == nba.pairs()
     for (qm, qn), texts in guards.items():
-        enabling = set().union(*(chi_bits(g, nba.universe.size) for g in texts))
+        enabling = set().union(*(chi_bits(g, len(nba.universe.names)) for g in texts))
         assert set(enabled_bits(nba, qm, qn)) == enabling, (path.name, qm, qn)

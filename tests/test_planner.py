@@ -5,13 +5,13 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from conftest import ASSETS, dijkstra_oracle
+from conftest import ASSETS, dijkstra_oracle, sid
 
 from tlreplan.baselines import lex_dijkstra, loop_cost, solve_fresh
 from tlreplan.hoa import parse_nba, parse_nba_file
 from tlreplan.planner import (PREFIX, REPAIR_SHARE, SUFFIX, EdgeOutsideGridError,
                               LTLDStarPlanner, NoAcceptingRun, ReweightBelowStepError,
-                              check_beta, free_product)
+                              SuffixRecord, check_beta, free_product)
 from tlreplan.product import (PAEdgeChange, ProductAutomaton, WeightView, build_product,
                               build_relaxed_product)
 from tlreplan.simulate import simulate
@@ -65,10 +65,16 @@ def brute_force_min_cycle(pa, acc, max_len=8):
     return best
 
 
+def loop_record(planner, acc):
+    """The record `plan_initial` builds for `acc`: stale if a finite edge enters, then solved."""
+    rec = SuffixRecord(acc, stale=any(w != INF for w in planner.pa.pred[acc].values()))
+    planner.repair_loop(rec)
+    return rec
+
+
 def repair_with(planner, rec, mod):
     """Queue a change set in one loop search and repair it, as replan does."""
-    mirrors = [(ch.u, pack(ch.weight)) for ch in mod if ch.v == rec.acc]
-    planner.mark_stale(rec, mirrors, {ch.u for ch in mod})
+    planner.mark_stale(rec, {ch.u for ch in mod})
     return planner.repair_loop(rec)
 
 
@@ -76,7 +82,7 @@ def test_suffix_self_loop():
     pa = TinyPA(2, [(0, 0, (0, 10)), (0, 1, (0, 10)), (1, 0, (0, 10))],
                 accepting=[0], initial=[0])
     planner = LTLDStarPlanner(pa, beta=10)
-    rec = planner.suffix_initialize(0)
+    rec = loop_record(planner, 0)
     assert rec.cost == pack((0, 10))
     assert rec.get_loop() == [0, 0]
 
@@ -84,7 +90,7 @@ def test_suffix_self_loop():
 def test_suffix_no_cycle_is_infinite():
     pa = TinyPA(2, [(0, 1, (0, 10))], accepting=[0], initial=[0])
     planner = LTLDStarPlanner(pa, beta=10)
-    rec = planner.suffix_initialize(0)
+    rec = loop_record(planner, 0)
     assert rec.cost == INF
     assert rec.get_loop() == []
 
@@ -94,7 +100,7 @@ def test_suffix_three_cycle_matches_brute_force():
                 accepting=[0], initial=[0])
     assert brute_force_min_cycle(pa, 0) == (0, 50)
     planner = LTLDStarPlanner(pa, beta=10)
-    rec = planner.suffix_initialize(0)
+    rec = loop_record(planner, 0)
     assert rec.cost == pack((0, 50))
     assert rec.get_loop() == [0, 1, 2, 0]
 
@@ -103,7 +109,7 @@ def test_suffix_replan_empty_mod_no_expansions():
     pa = TinyPA(3, [(0, 1, (0, 10)), (1, 2, (0, 10)), (2, 0, (0, 30))],
                 accepting=[0], initial=[0])
     planner = LTLDStarPlanner(pa, beta=10)
-    rec = planner.suffix_initialize(0)
+    rec = loop_record(planner, 0)
     before = rec.instance.expansions
     assert not planner.repair_loop(rec)  # a fresh record is left alone
     changed = repair_with(planner, rec, [])
@@ -115,7 +121,7 @@ def test_suffix_replan_deleted_cycle_goes_infinite():
     pa = TinyPA(3, [(0, 1, (0, 10)), (1, 2, (0, 10)), (2, 0, (0, 30))],
                 accepting=[0], initial=[0])
     planner = LTLDStarPlanner(pa, beta=10)
-    rec = planner.suffix_initialize(0)
+    rec = loop_record(planner, 0)
     mod = [PAEdgeChange(1, 2, (INF, INF))]
     pa.apply_changes(mod)
     assert repair_with(planner, rec, mod)
@@ -129,7 +135,7 @@ def test_suffix_replan_switches_to_alternate_cycle():
                     (0, 2, (0, 20)), (2, 3, (0, 20)), (3, 0, (0, 30))],
                 accepting=[0], initial=[0])
     planner = LTLDStarPlanner(pa, beta=10)
-    rec = planner.suffix_initialize(0)
+    rec = loop_record(planner, 0)
     assert rec.cost == pack((0, 20))
     mod = [PAEdgeChange(0, 1, (0, 80))]  # bump one edge of the cheap cycle
     pa.apply_changes(mod)
@@ -285,7 +291,7 @@ def test_suffix_independence(seq_nba):
     # delete one outgoing edge of a corner far from the loop
     pi = wts.n_states - 1
     target = next(iter(wts.succ[pi]))
-    mod = [PAEdgeChange(pa.sid(pi, 0), pa.sid(target, 0), (INF, INF))]
+    mod = [PAEdgeChange(sid(pa, pi, 0), sid(pa, target, 0), (INF, INF))]
     pa.apply_changes(mod)
     for rec in planner.records:
         if rec.instance is not None:  # a deletion gives no other record a search
@@ -337,6 +343,20 @@ def _lazy_case(seq_nba, seed, relaxed):
     return rng, pa, belief.cell_index[cell], belief.cell_index[nb]
 
 
+def _check_goal_edges(planner):
+    """Each loop search reached every tail into its accepting state, and once
+    repaired its goal edges carry the product's weights into that state."""
+    pa = planner.pa
+    for rec in planner.records:
+        if rec.instance is None:
+            continue
+        into = pa.pred[rec.acc]
+        assert into.keys() <= rec.instance.reached, rec.acc
+        if not rec.stale:
+            extra = rec.instance.graph.extra_succ
+            assert {u: extra[u][planner.goal] for u in into} == into, rec.acc
+
+
 @pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
 @pytest.mark.parametrize("seed", [2, 3, 8, 11, 15])
 def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
@@ -353,6 +373,7 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
     travel = {(i, j): d for i, j, d in wts.edges()}
     planner = LTLDStarPlanner(pa, beta=10)
     planner.plan_initial()
+    _check_goal_edges(planner)
     seen = {"stale": False, "lowered": False, "created": False, "suffix": False,
             "abandoned": False}
 
@@ -405,6 +426,7 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
         fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
         assert (run.prefix, run.suffix, run.accepting, run.total) == \
             (fresh.prefix, fresh.suffix, fresh.accepting, fresh.total)
+        _check_goal_edges(planner)
         for rec in planner.records:
             exact, _ = loop_cost(pa, rec.acc)
             if rec.stale:
@@ -445,7 +467,7 @@ def test_deferred_rescans_accumulate_until_a_lowering_batch(relaxed):
     planner.plan_initial()
     cell = belief.cell_index
     target, wall_nb = cell[4, 0], cell[5, 0]
-    rec = planner._rec_by_acc[pa.sid(target, 1)]
+    rec = planner._rec_by_acc[sid(pa, target, 1)]
     assert rec.acc != planner.run.accepting
 
     def replan(events):
@@ -458,7 +480,7 @@ def test_deferred_rescans_accumulate_until_a_lowering_batch(relaxed):
         return {ch.u for ch in mod}
 
     def raised(edges):
-        return [ChangeEvent("reweight", i, j, wts.weight(i, j) + 40) for i, j in edges]
+        return [ChangeEvent("reweight", i, j, wts.succ[i][j] + 40) for i, j in edges]
 
     def raise_batches():
         near = set(wts.succ[target])
@@ -562,7 +584,7 @@ def _raise_and_check(planner, edges):
     pa = planner.pa
     wts = pa.wts
     mod = [ch for i, j in edges
-           for ch in pa.map_wts_change(ChangeEvent("reweight", i, j, wts.weight(i, j) + 40))]
+           for ch in pa.map_wts_change(ChangeEvent("reweight", i, j, wts.succ[i][j] + 40))]
     start = planner.current_state
     run = planner.replan(mod)
     fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
@@ -639,7 +661,7 @@ def test_blocked_run_loop_is_solved_again_from_scratch(seq_nba, relaxed):
     start = planner.current_state
     run = planner.replan(mod)
     assert rec.instance is not old and not rec.stale
-    ref = planner.suffix_initialize(rec.k).instance
+    ref = loop_record(planner, rec.acc).instance
     assert (rec.instance.g, rec.instance.rhs, rec.instance.reached) == \
         (ref.g, ref.rhs, ref.reached)
     assert rec.fresh == ref.expansions
@@ -821,7 +843,7 @@ def test_initial_states_in_two_cells_match_fresh_solve(seq_nba, name, relaxed):
         states = run.states()
         edges = sorted({(s // pa.nq, t // pa.nq) for s, t in zip(states, states[1:])
                         if s // pa.nq != t // pa.nq})[:3]
-        for travel in (lambda i, j: wts.weight(i, j) + 40, wts.weight):
+        for travel in (lambda i, j: wts.succ[i][j] + 40, lambda i, j: wts.succ[i][j]):
             mod = [ch for i, j in edges
                    for ch in pa.map_wts_change(ChangeEvent("reweight", i, j, travel(i, j)))]
             sources = [planner.current_state]
@@ -863,7 +885,7 @@ def test_edge_into_a_never_entered_accepting_state_builds_its_search(seq_nba, ki
     pa.apply_changes([ch for i in into for ch in pa.map_wts_change(ChangeEvent("delete", i, j))])
     planner = LTLDStarPlanner(pa, beta=10)
     planner.plan_initial()
-    rec = planner._rec_by_acc[pa.sid(j, 4)]
+    rec = planner._rec_by_acc[sid(pa, j, 4)]
     assert rec.instance is None and rec.cost == INF
     assert sum(r.instance is not None for r in planner.records) == 1
     main = planner.main

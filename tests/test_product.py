@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (chi_bits, dist, dist_bits, enabled_bits, guard_predicate, hoa_guards,
-                      visit_in_order_hoa)
+                      sid, visit_in_order_hoa)
 from tlreplan.hoa import parse_nba
 from tlreplan.labels import APUniverse
 from tlreplan.product import build_product, build_relaxed_product
@@ -77,8 +77,8 @@ def test_plain_product_edges_follow_destination_label():
     pa = build_product(wts, nba)
     assert pa.n_states == 2 * 2
     # from <0,q0>, destination label {a} enables only q0->q1
-    assert set(pa.succ[pa.sid(0, 0)].keys()) == {pa.sid(1, 1)}
-    assert pa.succ[pa.sid(0, 0)][pa.sid(1, 1)] == (0, 10)
+    assert set(pa.succ[sid(pa, 0, 0)].keys()) == {sid(pa, 1, 1)}
+    assert pa.succ[sid(pa, 0, 0)][sid(pa, 1, 1)] == (0, 10)
 
 
 def test_unit_nba_product_isomorphic_to_wts():
@@ -107,7 +107,7 @@ def test_relaxed_superset_and_violation_zero_iff_plain():
     for a, b in relaxed_edges:
         viol = relaxed.succ[a][b][0]
         assert (viol == 0) == ((a, b) in plain_edges)
-        assert relaxed.succ[a][b][1] == wts.weight(*map(lambda s: s // 2, (a, b)))
+        assert relaxed.succ[a][b][1] == wts.succ[a // 2][b // 2]
 
 
 def test_relaxed_edge_count_per_wts_edge():
@@ -131,9 +131,9 @@ def test_dist_on_product_states():
     nba = _nba("State: 0\n[0 & 1] 1\nState: 1 {0}\n[t] 1", n_props=2)
     wts = _line_wts(nba.universe, [0, 0b01], [10])
     pa = build_relaxed_product(wts, nba)
-    assert dist(pa, pa.sid(0, 0), pa.sid(1, 1)) == 1
+    assert dist(pa, sid(pa, 0, 0), sid(pa, 1, 1)) == 1
     with pytest.raises(ValueError):
-        dist(pa, pa.sid(1, 0), pa.sid(0, 1))  # no workspace edge 1->0
+        dist(pa, sid(pa, 1, 0), sid(pa, 0, 1))  # no workspace edge 1->0
 
 
 class TestMapWtsChange:
@@ -152,9 +152,9 @@ class TestMapWtsChange:
         assert len(mod) == 3
         assert all(ch.weight == (INF, INF) for ch in mod)
         assert {(ch.u, ch.v) for ch in mod} == {
-            (pa.sid(0, 0), pa.sid(1, 1)),
-            (pa.sid(0, 1), pa.sid(1, 2)),
-            (pa.sid(0, 2), pa.sid(1, 2)),
+            (sid(pa, 0, 0), sid(pa, 1, 1)),
+            (sid(pa, 0, 1), sid(pa, 1, 2)),
+            (sid(pa, 0, 2), sid(pa, 1, 2)),
         }
 
     def test_reweight_keeps_edge_set(self):
@@ -199,7 +199,7 @@ class TestMapWtsChange:
         pa = build_relaxed_product(wts, nba)
         mod = pa.map_wts_change(ChangeEvent("reweight", 0, 1, 50))
         weights = {(ch.u, ch.v): ch.weight for ch in mod}
-        assert weights[(pa.sid(0, 0), pa.sid(1, 1))] == (1, 50)
+        assert weights[(sid(pa, 0, 0), sid(pa, 1, 1))] == (1, 50)
 
 
 def test_plain_edges_reverified_by_independent_guard_evaluation(seq_nba):

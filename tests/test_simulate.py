@@ -7,9 +7,9 @@ import pytest
 
 from conftest import ASSETS, BOXED_START, dijkstra_oracle, replay_iterative
 from tlreplan.planner import NoAcceptingRun
-from tlreplan.simulate import (CSV_HEADER, build_world, make_planner, simulate, write_trace_csv,
-                               write_trace_json)
-from tlreplan.world import load_scenario, random_map, scenario_from_dict
+from tlreplan.simulate import (ALGORITHMS, CSV_HEADER, build_world, make_planner, simulate,
+                               write_trace_csv, write_trace_json)
+from tlreplan.world import ChangeEvent, load_scenario, random_map, scenario_from_dict
 
 INF = math.inf
 
@@ -107,6 +107,20 @@ def test_infeasible_start_reports_its_work_and_no_total(seq_nba, mode, algo):
     assert (rep.initial_violation, rep.initial_travel) == (INF, INF)
     data = rep.to_json_dict()
     assert (data["initial_violation"], data["initial_travel"]) == (None, None)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_replan_after_an_infeasible_start_raises_no_accepting_run(seq_nba, algo):
+    """With no run to follow, a replan solves from the initial states and finds none."""
+    pa = build_world(scenario_from_dict(BOXED_START), seq_nba, "plain")[1]
+    planner = make_planner(algo, pa, 10)
+    with pytest.raises(NoAcceptingRun):
+        planner.plan_initial()
+    i, j, d = next((i, j, d) for i, j, d in pa.wts.edges() if d != INF)
+    mod = pa.map_wts_change(ChangeEvent("reweight", i, j, d + 40))
+    assert mod
+    with pytest.raises(NoAcceptingRun):
+        planner.replan(mod)
 
 
 def test_trace_files_round_trip(tmp_path, seq_nba):

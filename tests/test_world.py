@@ -50,8 +50,8 @@ def test_believed_bump_reweights_incoming_edges():
     j = wts.coords.index((5, 5))
     for nb in ((4, 5), (6, 5), (5, 4), (5, 6)):
         i = wts.coords.index(nb)
-        assert wts.weight(i, j) == 50
-        assert wts.weight(j, i) == 10  # leaving a bump costs the normal step
+        assert wts.succ[i][j] == 50
+        assert wts.succ[j][i] == 10  # leaving a bump costs the normal step
 
 
 def test_believed_obstacle_removes_state():
@@ -96,7 +96,7 @@ class TestSense:
         assert len(events) == 4
         j = wts.coords.index((2, 3))
         assert all(e.j == j for e in events)
-        assert all(wts.weight(e.i, e.j) == INF for e in events)
+        assert all(wts.succ[e.i][e.j] == INF for e in events)
 
     def test_reveals_adjacent_bump_as_reweights(self):
         scn, belief, wts = self._world()
@@ -105,7 +105,7 @@ class TestSense:
         assert {e.kind for e in events} == {"reweight"}
         assert all(e.weight == 50 for e in events)
         j = wts.coords.index((4, 1))
-        assert all(wts.weight(e.i, j) == 50 for e in events)
+        assert all(wts.succ[e.i][j] == 50 for e in events)
 
     def test_resensing_is_idempotent(self):
         scn, belief, _ = self._world()
@@ -165,12 +165,16 @@ def test_grid_at_the_product_cap_fails_before_any_cell_is_visited(monkeypatch):
         to_wts(scn, Belief(known_obstacles={(0, 0)}), U)
 
 
-def test_random_map_at_the_product_cap_fails_before_any_cell_is_rolled(monkeypatch):
+def test_random_map_at_the_product_cap_fails_before_any_cell_is_rolled(monkeypatch, seq_nba):
     monkeypatch.setattr(world, "random", SimpleNamespace(Random=_visited))
     with pytest.raises(WeightRangeError, match="cap"):
         random_map(0, 1 << 10, 0.4)
     with pytest.raises(AssertionError, match="visited"):
         random_map(0, (1 << 10) - 1, 0.4)
+    # 512 x 512 cells pass the cell cap, but not times the automaton's 5 states
+    assert 512 * 512 < STATE_CAP <= 512 * 512 * seq_nba.n_states
+    with pytest.raises(WeightRangeError, match="cap"):
+        random_map(0, 512, 0.4, nba=seq_nba)
 
 
 def test_random_map_deterministic():

@@ -16,8 +16,8 @@ def _waypoints(weight):
 
 
 def test_travel_cap_boundary():
-    assert WTS(U, 2, [0, 0], [0], [{1: TRAVEL_CAP - 1}, {0: INF}]).weight(0, 1) == TRAVEL_CAP - 1
-    assert wts_from_json(_waypoints(TRAVEL_CAP - 1), U).weight(0, 1) == TRAVEL_CAP - 1
+    assert WTS(U, 2, [0, 0], [0], [{1: TRAVEL_CAP - 1}, {0: INF}]).succ[0][1] == TRAVEL_CAP - 1
+    assert wts_from_json(_waypoints(TRAVEL_CAP - 1), U).succ[0][1] == TRAVEL_CAP - 1
     for bad in (TRAVEL_CAP, 0, 2.5, 10.0, "10"):
         with pytest.raises(WeightRangeError):
             WTS(U, 2, [0, 0], [0], [{1: bad}, {}])
