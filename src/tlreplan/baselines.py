@@ -13,7 +13,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .planner import NoAcceptingRun, Run, RunFollower, SUFFIX, check_beta
-from .weights import INF, path_weight, unpack
+from .weights import INF, INF_W, path_weight
 
 
 def _settle(adj, tentative: dict, parents=None, goals=()):
@@ -115,16 +115,17 @@ def _backward(pa, seeds: dict, targets, prefix=None, bound=INF, beta: int = 1):
     return best, tentative, pops
 
 
-def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
-    """Single-shot optimal run, reconstructed exactly like the incremental planner.
+def solve_fresh(pa, sources: list[int], beta: int) -> tuple[Run, int]:
+    """Single-shot optimal run from a list of `sources`, priced by `Run.lasso`.
 
-    Computes the loop costs, then sweeps the cost-to-virtual-goal values
-    backward from the accepting states until the cheapest source's cost is
-    known, and finally descends those values greedily from it (ties to the
-    lowest state index, closing the loop only when strictly cheaper, which
-    mirrors the virtual goal's high index). The loop itself is descended
-    along the chosen state's own loop search. Both descents read only exact
-    values (`_backward`).
+    Reconstructed exactly like the incremental planner: computes the loop
+    costs, sweeps the cost-to-virtual-goal values backward from the
+    accepting states until the cheapest source's cost is known (ties to the
+    lowest index), and descends those values greedily from that source
+    (ties to the lowest state index, closing the loop only when strictly
+    cheaper, which mirrors the virtual goal's high index). The loop itself
+    is descended along the chosen state's own loop search. Both descents
+    read only exact values (`_backward`).
 
     Loop searches run unbounded until they have settled as many states as
     the product holds. If more remain, one forward pass from the sources
@@ -136,7 +137,6 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
     descent compares against another.
     """
     check_beta(beta)
-    sources = list(start) if isinstance(start, (list, tuple)) else [start]
     closing = {acc: c for acc in pa.accepting for c in [_closing(pa, acc)] if c}
     live = list(closing)
     loops = {}  # accepting state -> (loop cost, its search's cost-to-close values)
@@ -173,10 +173,8 @@ def solve_fresh(pa, start, beta: int) -> tuple[Run, int]:
 
     prefix = _descend(pa, total_d, best_src, loops_scaled)
     acc = prefix[-1]
-    lk, values = loops[acc]
-    loop = _descend(pa, values, acc, closing[acc]) + [acc]
-    pk = path_weight(pa.out, prefix)
-    return Run(prefix, loop, acc, unpack(pk), unpack(lk), unpack(pk + beta * lk)), pops
+    loop = _descend(pa, loops[acc][1], acc, closing[acc]) + [acc]
+    return Run.lasso(pa.out, prefix, loop, acc, beta), pops
 
 
 def _descend(pa, values, start, closing):
@@ -210,13 +208,6 @@ def _descend(pa, values, start, closing):
 class IterativeReplanner(RunFollower):
     """Re-solves everything from scratch with Dijkstra on every change set,
     counting every solve's pops, failed or not."""
-
-    def __init__(self, pa, beta: int = 10):
-        super().__init__()
-        check_beta(beta)
-        self.pa = pa
-        self.beta = beta
-        self.last_expansions = 0
 
     def plan_initial(self) -> Run:
         self.last_expansions = 0
@@ -296,13 +287,8 @@ class LocalRevisionReplanner(IterativeReplanner):
         prefix = detour + segment[best_idx + 1:]
         # a detour inside the loop becomes part of it; one on the prefix leaves it
         new_suffix = old.suffix[:offset] + prefix if segment is old.suffix else list(old.suffix)
-        prefix_cost = path_weight(out, prefix)
-        suffix_cost = path_weight(out, new_suffix)
-        total = prefix_cost + self.beta * suffix_cost
-        if total == INF:
-            return None
-        return Run(prefix, new_suffix, old.accepting, unpack(prefix_cost), unpack(suffix_cost),
-                   unpack(total))
+        run = Run.lasso(out, prefix, new_suffix, old.accepting, self.beta)
+        return None if run.total == INF_W else run
 
 
 def _walk_parents(parents, state, sources):

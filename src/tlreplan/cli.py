@@ -17,10 +17,10 @@ from importlib import resources
 
 from .hoa import HoaParseError, parse_nba_file
 from .planner import NoAcceptingRun, check_beta
-from .product import build_product, build_relaxed_product
-from .simulate import (ALGORITHMS, MODES, TraceReport, simulate, write_trace_csv,
+from .product import PLAIN, build_product, build_relaxed_product
+from .simulate import (ALGORITHMS, MODES, TraceReport, build_world, simulate, write_trace_csv,
                        write_trace_json)
-from .world import Belief, check_cells, load_scenario, random_map, scenario_from_dict, to_wts
+from .world import load_scenario, random_map, scenario_from_dict
 from .wts import load_wts
 
 EXIT_OK = 0
@@ -60,12 +60,10 @@ def cmd_build(args) -> int:
         return EXIT_ERROR
     try:
         if "states" in data:
-            wts = load_wts(args.scenario, nba.universe)
-        else:
-            scenario = scenario_from_dict(data)
-            check_cells(scenario.width * scenario.height, nba.n_states)
-            wts = to_wts(scenario, Belief(), nba.universe)
-        pa = build_product(wts, nba)
+            pa = build_product(load_wts(args.scenario, nba.universe), nba)
+        else:  # the product simulate plans on at time zero
+            _, pa = build_world(scenario_from_dict(data), nba, PLAIN)
+        wts = pa.wts
     except (ValueError, KeyError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_ERROR

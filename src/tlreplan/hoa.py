@@ -206,6 +206,7 @@ class NBA:
 
 _IGNORED_HEADERS = {"name", "tool", "properties"}
 _ONCE_HEADERS = {"States", "AP", "acc-name", "Acceptance"}
+_REQUIRED_HEADERS = ("States", "Start", "AP", "Acceptance", "acc-name")  # checked in this order
 
 
 def parse_nba(text: str) -> NBA:
@@ -214,8 +215,6 @@ def parse_nba(text: str) -> NBA:
     n_states = None
     initial: list[int] = []
     ap_names = None
-    acceptance_ok = False
-    acc_name_ok = False
     seen_headers = set()
     body_start = None
 
@@ -235,10 +234,9 @@ def parse_nba(text: str) -> NBA:
         header, _, value = line.partition(":")
         header = header.strip()
         value = value.strip()
-        if header in _ONCE_HEADERS:
-            if header in seen_headers:
-                raise HoaParseError(f"repeated {header}: header", lineno)
-            seen_headers.add(header)
+        if header in _ONCE_HEADERS and header in seen_headers:
+            raise HoaParseError(f"repeated {header}: header", lineno)
+        seen_headers.add(header)
         if header == "States":
             n_states = _parse_int(value, "States", lineno)
             if n_states >= STATE_CAP:
@@ -257,11 +255,9 @@ def parse_nba(text: str) -> NBA:
                 raise UnsupportedHoaError(
                     f"only Buchi acceptance '1 Inf(0)' is supported, got {value!r}", lineno
                 )
-            acceptance_ok = True
         elif header == "acc-name":
             if value != "Buchi":
                 raise UnsupportedHoaError(f"acc-name must be Buchi, got {value!r}", lineno)
-            acc_name_ok = True
         elif header in _IGNORED_HEADERS:
             continue
         else:
@@ -269,16 +265,9 @@ def parse_nba(text: str) -> NBA:
 
     if body_start is None:
         raise HoaParseError("missing --BODY-- marker", len(lines))
-    if n_states is None:
-        raise HoaParseError("missing States: header", body_start)
-    if not initial:
-        raise HoaParseError("missing Start: header", body_start)
-    if ap_names is None:
-        raise HoaParseError("missing AP: header", body_start)
-    if not acceptance_ok:
-        raise HoaParseError("missing Acceptance: header", body_start)
-    if not acc_name_ok:
-        raise HoaParseError("missing acc-name: header", body_start)
+    for header in _REQUIRED_HEADERS:
+        if header not in seen_headers:
+            raise HoaParseError(f"missing {header}: header", body_start)
 
     universe = APUniverse(tuple(ap_names))
     accepting: list[int] = []

@@ -122,9 +122,17 @@ class Run:
     prefix: list[int]
     suffix: list[int]
     accepting: int
-    prefix_cost: tuple  # (violation, travel), unpacked from the searches
+    prefix_cost: tuple  # (violation, travel), summed along the product's edges
     suffix_cost: tuple
     total: tuple
+
+    @classmethod
+    def lasso(cls, out, prefix: list[int], suffix: list[int], accepting: int,
+              beta: int) -> Run:
+        """A run priced off the product `out`: prefix + beta * loop."""
+        pk = path_weight(out, prefix)
+        lk = path_weight(out, suffix)
+        return cls(prefix, suffix, accepting, unpack(pk), unpack(lk), unpack(pk + beta * lk))
 
     def states(self) -> list[int]:
         """Prefix followed by one loop traversal (shared state deduplicated)."""
@@ -261,9 +269,16 @@ def free_product(pa) -> FreeProduct | None:
 
 
 class RunFollower:
-    """Cursor over the active run: prefix once, then the loop forever."""
+    """What every planner shares: the product `pa`, the suffix weighting
+    `beta`, the expansions of the last call, and a cursor over the active
+    run that walks the prefix once, then the loop forever. The cursor needs
+    a run: `current_state` is undefined before the first one."""
 
-    def __init__(self):
+    def __init__(self, pa, beta: int = 10):
+        check_beta(beta)
+        self.pa = pa
+        self.beta = beta
+        self.last_expansions = 0
         self.run: Run | None = None
         self._seq: list[int] = []
         self._pos = 0
@@ -275,13 +290,8 @@ class RunFollower:
         self._pos = 0
         self._suffix_start = len(run.prefix) - 1
 
-    def _start_state(self) -> int:
-        raise NotImplementedError
-
     @property
     def current_state(self) -> int:
-        if self.run is None:
-            return self._start_state()
         return self._seq[self._pos]
 
     @property
@@ -308,10 +318,7 @@ class LTLDStarPlanner(RunFollower):
     """Incremental optimal planner for prefix-suffix runs."""
 
     def __init__(self, pa, beta: int = 10):
-        super().__init__()
-        check_beta(beta)
-        self.pa = pa
-        self.beta = beta
+        super().__init__(pa, beta)
         n = pa.n_states
         self.synth_start = n
         self.goal = n + 1
@@ -320,10 +327,6 @@ class LTLDStarPlanner(RunFollower):
         self._rec_by_acc: dict[int, SuffixRecord] = {}
         self.main: SearchInstance | None = None
         self._counter = [0]
-        self.last_expansions = 0
-
-    def _start_state(self) -> int:
-        return self.pa.initial[0] if len(self.pa.initial) == 1 else self.synth_start
 
     # -- suffix searches ---------------------------------------------------------
 
@@ -384,7 +387,7 @@ class LTLDStarPlanner(RunFollower):
         self._rec_by_acc = {rec.acc: rec for rec in self.records}
         for rec in self.records:
             self.repair_loop(rec)
-        self._build_main(self._start_state())
+        self._build_main(pa.initial[0] if len(pa.initial) == 1 else self.synth_start)
         path = self._solve_main()
         self.last_expansions = self._counter[0] - before
         return self._extract_run(path)
@@ -435,10 +438,11 @@ class LTLDStarPlanner(RunFollower):
         else:
             repair = [self._rec_by_acc[self.run.accepting]]
         moved = [self.repair_loop(rec) for rec in repair]  # every one, no short-circuit
+        start = self.main.start if self.run is None else self.current_state
         if any(moved):
-            self._build_main(self.current_state)
+            self._build_main(start)
         else:
-            self.main.move_start(self.current_state)
+            self.main.move_start(start)
             self.main.note_changed_edges(sources, force=not skip_ok)
         path = self._solve_main()
         self.last_expansions = self._counter[0] - before
@@ -477,10 +481,7 @@ class LTLDStarPlanner(RunFollower):
         prefix = path[:-1]
         if prefix and prefix[0] == self.synth_start:
             prefix = prefix[1:]
-        rec = self._rec_by_acc[acc]
-        loop = list(rec.get_loop())
-        prefix_cost = path_weight(self.pa.out, prefix)
-        run = Run(prefix, loop, acc, unpack(prefix_cost), unpack(rec.cost),
-                  unpack(prefix_cost + self.beta * rec.cost))
+        loop = list(self._rec_by_acc[acc].get_loop())
+        run = Run.lasso(self.pa.out, prefix, loop, acc, self.beta)
         self._set_run(run)
         return run

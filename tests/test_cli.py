@@ -5,8 +5,9 @@ import pytest
 
 from conftest import ASSETS, BOXED_START
 from tlreplan.cli import BENCH_HEADER, SUMMARY_HEADER, main
-from tlreplan.simulate import CSV_HEADER
-from tlreplan.world import GridScenario
+from tlreplan.product import PLAIN, RELAXED
+from tlreplan.simulate import CSV_HEADER, build_world
+from tlreplan.world import GridScenario, load_scenario
 
 SEQ = str(ASSETS / "sequence_abcd.hoa")
 SEQ32 = str(ASSETS / "sequence_abcd_32.hoa")
@@ -36,6 +37,20 @@ def test_build_relaxed_flag(capsys):
     stats = json.loads(capsys.readouterr().out)
     assert stats["relaxed_pa_transitions"] >= stats["pa_transitions"]
     assert stats["pa_states"] == stats["wts_states"] * stats["nba_states"]
+
+
+def test_build_reports_the_product_simulate_plans_on(capsys, seq_nba):
+    """`build` sizes the product over the belief at time zero, walls plus what
+    the start cell sees, as `build_world` gives it to `simulate`."""
+    path = ASSETS / "suffix_blockage.json"
+    assert main(["build", "builtin:sequence_abcd", str(path), "--relaxed"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    _, pa = build_world(load_scenario(path), seq_nba, PLAIN)
+    _, rpa = build_world(load_scenario(path), seq_nba, RELAXED)
+    assert (stats["wts_states"], stats["pa_states"], stats["relaxed_pa_states"]) == \
+        (pa.wts.n_states, pa.n_states, rpa.n_states) == (143, 715, 715)
+    assert (stats["wts_transitions"], stats["pa_transitions"],
+            stats["relaxed_pa_transitions"]) == (pa.wts.n_edges, pa.n_edges, rpa.n_edges)
 
 
 def test_build_single_state_nba(capsys, tmp_path):

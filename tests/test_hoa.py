@@ -47,10 +47,14 @@ def test_transition_based_acceptance_rejected():
         parse_nba(text)
 
 
-def test_missing_header_rejected():
-    text = EVENTUALLY_A.replace("Start: 0\n", "")
-    with pytest.raises(HoaParseError):
-        parse_nba(text)
+@pytest.mark.parametrize("header", ["States", "Start", "AP", "Acceptance", "acc-name"])
+def test_missing_header_rejected(header):
+    lines = [line for line in EVENTUALLY_A.splitlines() if not line.startswith(f"{header}:")]
+    body = lines.index("--BODY--") + 1
+    with pytest.raises(HoaParseError) as exc:
+        parse_nba("\n".join(lines) + "\n")
+    assert str(exc.value) == f"missing {header}: header (line {body})"
+    assert exc.value.line == body
 
 
 def test_syntax_error_carries_line():

@@ -372,8 +372,10 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
     wts = pa.wts
     travel = {(i, j): d for i, j, d in wts.edges()}
     planner = LTLDStarPlanner(pa, beta=10)
-    planner.plan_initial()
+    run = planner.plan_initial()
     _check_goal_edges(planner)
+    # the loop priced along the product is exactly the loop search's cost
+    assert pack(run.suffix_cost) == planner._rec_by_acc[run.accepting].cost
     seen = {"stale": False, "lowered": False, "created": False, "suffix": False,
             "abandoned": False}
 
@@ -426,6 +428,7 @@ def test_lazy_repair_matches_fresh_solve(seq_nba, seed, relaxed):
         fresh, _ = solve_fresh(copy.deepcopy(pa), [start], 10)
         assert (run.prefix, run.suffix, run.accepting, run.total) == \
             (fresh.prefix, fresh.suffix, fresh.accepting, fresh.total)
+        assert pack(run.suffix_cost) == planner._rec_by_acc[run.accepting].cost
         _check_goal_edges(planner)
         for rec in planner.records:
             exact, _ = loop_cost(pa, rec.acc)
