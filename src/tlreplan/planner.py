@@ -3,9 +3,9 @@
 One incremental search per accepting state finds its cheapest loop by
 mirroring the accepting state's incoming edges onto an imaginary goal; a
 main incremental search then reaches an overall imaginary goal whose
-incoming edges carry the finite loop costs scaled by the suffix weighting.
-Every search's imaginary goal is id n + 1, and the main search's synthetic
-start id n.
+incoming edges carry the finite loop costs scaled by the suffix weighting,
+less the least of them. Every search's imaginary goal is id n + 1, and the
+main search's synthetic start id n.
 
 The planner keeps one record per accepting state, but builds a search only
 for a state that some finite edge enters. Any other record has no search
@@ -19,14 +19,18 @@ search from scratch. Such a set can lower costs, so every stale record is
 repaired at once, and a finite new cost rebuilds the main search.
 
 On the prefix or inside the loop, the problem from the current state is
-the same, so one rule serves both phases. A change set that moves no loop
-cost repairs the main search in place: its start moves to the current
-state (shifting the key drift accumulator) and the changed edges' tails
-are rescanned. A moved loop cost rewrites an edge next to the goal that
-nearly every path runs through, and an in-place repair would expand most
-of the tree twice, so the main search is built afresh from the current
-state, as `plan_initial` builds it. Either search ends with exact costs
-along the extracted path, so runs are the same either way.
+the same, so one rule serves both phases. Every path to the main goal uses
+exactly one goal edge, so the constant taken off the goal weights shifts
+every g by that constant and moves no argmin, tie or key order; run totals
+come from `Run.lasso`, never from g. A change set that leaves the goal
+weights as they were repairs the main search in place: its start moves to
+the current state (shifting the key drift accumulator) and the changed
+edges' tails are rescanned. That covers a moved cost of the only finite
+loop, whose weight stays 0. A moved weight rewrites an edge next to the
+goal that nearly every path runs through, and an in-place repair would
+expand most of the tree twice, so the main search is built afresh from the
+current state, as `plan_initial` builds it. Either search ends with exact
+costs along the extracted path, so runs are the same either way.
 
 Loop searches are repaired lazily. A change set can only raise costs when
 every change rewrites an existing edge to a weight no lower than before.
@@ -37,7 +41,7 @@ keeps its old cost on its edge to the overall goal. Costs have only risen
 since that cost was exact, so it is a lower bound. Before the main search,
 the loop of the current run's accepting state is repaired. After it, while
 the extracted path closes through a stale accepting state, that loop is
-repaired and, if its cost moved, the main search is built afresh.
+repaired and, if the goal weights moved, the main search is built afresh.
 
 A loop repair next to its goal can cost several fresh solves, so each
 repair may expand at most a share of the record's last from-scratch
@@ -82,10 +86,11 @@ PREFIX = "prefix"
 SUFFIX = "suffix"
 
 # A loop repair may expand 1/REPAIR_SHARE of the record's last fresh solve.
-# On grid-abcd, shares of 1/4 to 1/32 cut the replan tail by about the same
-# 25-40% and 1/2 by about 12%; total expansions rise 12% at 1/4 and 37% at
-# 1/32.
-REPAIR_SHARE = 4
+# Timed over 8 alternating rounds of 40 grid-abcd missions (seeds 11, 23),
+# 1/16 gave the lowest replan time: 0.79 and 0.76 times 1/4's p95, 0.88 and
+# 0.79 times its total. 1/8 and 1/32 were slower in total, and 1/32 expands
+# 10-12% more; relaxed-grid reads the same at 1/8 to 1/32.
+REPAIR_SHARE = 16
 
 
 class NoAcceptingRun(Exception):
@@ -326,6 +331,7 @@ class LTLDStarPlanner(RunFollower):
         self.records: list[SuffixRecord] = []
         self._rec_by_acc: dict[int, SuffixRecord] = {}
         self.main: SearchInstance | None = None
+        self._weights: dict[int, int] = {}  # the main search's goal weights
         self._counter = [0]
 
     # -- suffix searches ---------------------------------------------------------
@@ -439,7 +445,7 @@ class LTLDStarPlanner(RunFollower):
             repair = [self._rec_by_acc[self.run.accepting]]
         moved = [self.repair_loop(rec) for rec in repair]  # every one, no short-circuit
         start = self.main.start if self.run is None else self.current_state
-        if any(moved):
+        if any(moved) and self._goal_weights() != self._weights:
             self._build_main(start)
         else:
             self.main.move_start(start)
@@ -456,17 +462,23 @@ class LTLDStarPlanner(RunFollower):
             if main.cost_from() == INF:
                 return None
             path = main.extract_path()
-            if not self.repair_loop(self._rec_by_acc[path[-2]]):
+            if (not self.repair_loop(self._rec_by_acc[path[-2]])
+                    or self._goal_weights() == self._weights):
                 return path
             self._build_main(main.start)
 
+    def _goal_weights(self) -> dict[int, int]:
+        """Each finite loop's beta * cost, less the least of them."""
+        scaled = {rec.acc: self.beta * rec.cost for rec in self.records if rec.cost != INF}
+        low = min(scaled.values(), default=0)
+        return {acc: c - low for acc, c in scaled.items()}
+
     def _build_main(self, start: int):
-        """A fresh main search from `start` over the records' present loop costs."""
+        """A fresh main search from `start` over the records' present goal weights."""
         graph = OverlayGraph(self.pa)
-        beta = self.beta
-        for rec in self.records:
-            if rec.cost != INF:
-                graph.set_extra(rec.acc, self.goal, beta * rec.cost)
+        self._weights = self._goal_weights()
+        for acc, w in self._weights.items():
+            graph.set_extra(acc, self.goal, w)
         if start == self.synth_start:
             for s0 in self.pa.initial:
                 graph.set_extra(self.synth_start, s0, 0)

@@ -39,6 +39,8 @@ restarts before its key drift km reaches KM_CAP = 2**62
 (`dstar.SearchInstance.move_start`). A key's first part, packed cost plus
 heuristic plus km, therefore has travel below 2**61 + 2**44 + 2**62 + 2**44
 < 2**64, and orders as the tuple key (violation, travel + h + km) would.
+The main search's goal edges carry beta * loop less the least such value, so
+each of its g is a true total less one constant: order is still true order.
 """
 
 from __future__ import annotations

@@ -567,9 +567,9 @@ def test_reweight_below_heuristic_step_is_rejected(seq_nba, seed, relaxed):
     assert (run.prefix, run.suffix, run.total) == (fresh.prefix, fresh.suffix, fresh.total)
 
 
-def _ring_planner(seq_nba, relaxed, phase):
-    """`ring_unique`, planned and walked one step into `phase`."""
-    scn = load_scenario(ASSETS / "ring_unique.json")
+def _walked_planner(seq_nba, relaxed, phase, name="ring_unique"):
+    """A shipped map, planned and walked one step into `phase`."""
+    scn = load_scenario(ASSETS / f"{name}.json")
     belief = initial_belief(scn)
     wts = to_wts(scn, belief, seq_nba.universe)
     belief.attach(wts)
@@ -599,7 +599,7 @@ def _raise_and_check(planner, edges):
 @pytest.mark.parametrize("phase", [PREFIX, SUFFIX])
 def test_change_that_moves_no_loop_cost_repairs_the_main_search(seq_nba, phase, relaxed):
     """An edge off the run rises: the main search keeps its tree and shifts its start."""
-    pa, planner = _ring_planner(seq_nba, relaxed, phase)
+    pa, planner = _walked_planner(seq_nba, relaxed, phase)
     states = planner.run.states()
     on_run = {(s // pa.nq, t // pa.nq) for s, t in zip(states, states[1:])}
     off_run = next((i, j) for i, j, d in pa.wts.edges() if d != INF and (i, j) not in on_run)
@@ -615,7 +615,7 @@ def test_change_that_moves_no_loop_cost_repairs_the_main_search(seq_nba, phase, 
 def test_main_search_starts_over_before_km_reaches_its_cap(seq_nba, relaxed):
     """A start move that would take km to KM_CAP resets the main search in place,
     so keys keep within the packing's exact range; the run equals a fresh solve."""
-    pa, planner = _ring_planner(seq_nba, relaxed, SUFFIX)
+    pa, planner = _walked_planner(seq_nba, relaxed, SUFFIX)
     states = planner.run.states()
     on_run = {(s // pa.nq, t // pa.nq) for s, t in zip(states, states[1:])}
     off_run = next((i, j) for i, j, d in pa.wts.edges() if d != INF and (i, j) not in on_run)
@@ -628,16 +628,27 @@ def test_main_search_starts_over_before_km_reaches_its_cap(seq_nba, relaxed):
 
 @pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
 @pytest.mark.parametrize("phase", [PREFIX, SUFFIX])
-def test_change_that_raises_the_run_loop_restarts_the_main_search(seq_nba, phase, relaxed):
-    """Every edge into the accepting cell rises: the main search is built afresh."""
-    pa, planner = _ring_planner(seq_nba, relaxed, phase)
+def test_change_that_raises_the_run_loop_rebuilds_the_main_search_if_goal_weights_move(
+        seq_nba, phase, relaxed):
+    """Every edge into the accepting cell rises, and the run equals `solve_fresh`.
+
+    Relaxed mode has several finite loops, so the relative goal weights move
+    and the main search is built afresh. Plain mode has one finite loop, whose
+    relative weight stays 0, so the main search is kept.
+    """
+    pa, planner = _walked_planner(seq_nba, relaxed, phase)
     rec = planner._rec_by_acc[planner.run.accepting]
-    cost, main = rec.cost, planner.main
+    cost, main, weights = rec.cost, planner.main, planner._weights
     acc_cell = rec.acc // pa.nq
     _raise_and_check(planner, [(i, acc_cell) for i in range(pa.wts.n_states)
                                if pa.wts.has_edge(i, acc_cell)])
     assert rec.cost > cost
-    assert planner.main is not main
+    if relaxed:
+        assert planner._weights != weights
+        assert planner.main is not main
+    else:
+        assert weights == planner._weights == {rec.acc: 0}
+        assert planner.main is main
 
 
 @pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
@@ -677,6 +688,27 @@ def test_blocked_run_loop_is_solved_again_from_scratch(seq_nba, relaxed):
 
 GRID_MAPS = ("bench_map_a", "bench_map_b", "bench_map_blocked_c", "ring_unique",
              "suffix_blockage")
+
+
+@pytest.mark.parametrize("phase", [PREFIX, SUFFIX])
+@pytest.mark.parametrize("name", GRID_MAPS)
+def test_raising_the_only_finite_loop_keeps_the_main_search(seq_nba, name, phase):
+    """Every edge of the run's loop rises, and it is the only finite loop.
+
+    Its relative goal weight stays 0, so the main search is repaired in
+    place. The run equals `solve_fresh`, and the main search's cost is the
+    run's true total less the least beta * loop cost.
+    """
+    pa, planner = _walked_planner(seq_nba, False, phase, name)
+    rec = planner._rec_by_acc[planner.run.accepting]
+    assert [r for r in planner.records if r.cost != INF] == [rec]
+    cost, main = rec.cost, planner.main
+    cells = [s // pa.nq for s in rec.get_loop()]
+    _raise_and_check(planner, {(i, j) for i, j in zip(cells, cells[1:]) if i != j})
+    assert rec.cost > cost
+    assert planner.main is main
+    low = min(planner.beta * r.cost for r in planner.records if r.cost != INF)
+    assert main.cost_from() == pack(planner.run.total) - low
 
 
 def _grid_map_planner(seq_nba, name, relaxed):
