@@ -89,7 +89,7 @@ SUFFIX = "suffix"
 # Timed over 8 alternating rounds of 40 grid-abcd missions (seeds 11, 23),
 # 1/16 gave the lowest replan time: 0.79 and 0.76 times 1/4's p95, 0.88 and
 # 0.79 times its total. 1/8 and 1/32 were slower in total, and 1/32 expands
-# 10-12% more; relaxed-grid reads the same at 1/8 to 1/32.
+# 12% more; relaxed-grid reads the same at 1/8 to 1/32.
 REPAIR_SHARE = 16
 
 

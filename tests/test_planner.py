@@ -701,7 +701,7 @@ def test_raising_the_only_finite_loop_keeps_the_main_search(seq_nba, name, phase
     """
     pa, planner = _walked_planner(seq_nba, False, phase, name)
     rec = planner._rec_by_acc[planner.run.accepting]
-    assert [r for r in planner.records if r.cost != INF] == [rec]
+    assert [r.acc for r in planner.records if r.cost != INF] == [rec.acc]
     cost, main = rec.cost, planner.main
     cells = [s // pa.nq for s in rec.get_loop()]
     _raise_and_check(planner, {(i, j) for i, j in zip(cells, cells[1:]) if i != j})
