@@ -628,13 +628,13 @@ def test_main_search_starts_over_before_km_reaches_its_cap(seq_nba, relaxed):
 
 @pytest.mark.parametrize("relaxed", [False, True], ids=["plain", "relaxed"])
 @pytest.mark.parametrize("phase", [PREFIX, SUFFIX])
-def test_change_that_raises_the_run_loop_rebuilds_the_main_search_if_goal_weights_move(
-        seq_nba, phase, relaxed):
+def test_change_that_raises_the_run_loop_restarts_the_main_search(seq_nba, phase, relaxed):
     """Every edge into the accepting cell rises, and the run equals `solve_fresh`.
 
-    Relaxed mode has several finite loops, so the relative goal weights move
-    and the main search is built afresh. Plain mode has one finite loop, whose
-    relative weight stays 0, so the main search is kept.
+    The main search restarts only when the relative goal weights move. Relaxed
+    mode has several finite loops, so they move and the main search is built
+    afresh. Plain mode has one finite loop, whose relative weight stays 0, so
+    the main search is kept.
     """
     pa, planner = _walked_planner(seq_nba, relaxed, phase)
     rec = planner._rec_by_acc[planner.run.accepting]
